@@ -3,10 +3,10 @@
 Scores every k-of-n predictor subset for every responder, either through
 the squared conditional unsigned uncorrelation coefficient (a ratio of
 correlation-matrix determinants, no coefficients fitted during the scan)
-or through the classical least-squares normal equations. Both routes
-select the same subsets; the determinant route gets there in a small
-fraction of the arithmetic, which the opcount module can demonstrate by
-actually counting.
+or through the classical least-squares normal equations. In exact
+arithmetic both routes select the same subsets; the determinant route
+gets there in a small fraction of the arithmetic, which the opcount
+module can demonstrate by actually counting.
 """
 
 from .errors import (

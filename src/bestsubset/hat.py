@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import back_substitute, factor_symmetric, forward_apply
+from .gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
 
 __all__ = [
     "GramTables",
@@ -63,16 +63,16 @@ def gram_products(data, predictors, responders) -> GramTables:
     This is the one-time global pass; everything after it assembles
     subset-level matrices purely by lookup.
     """
-    pred = list(predictors)
-    resp = list(responders)
-    d = data.d
-    ones = np.ones(d, dtype=np.float64)
-    pcols = [data.column(c) for c in pred]
-    rcols = [data.column(c) for c in resp]
+    return _gram([data.column(c) for c in predictors],
+                 [data.column(c) for c in responders], data.d)
 
+
+def _gram(pcols, rcols, d) -> GramTables:
+    """Inner-product tables of predictor and responder arrays of length d."""
+    ones = np.ones(d, dtype=np.float64)
     sum_x = tuple(float(np.dot(ones, c)) for c in pcols)
     sum_y = tuple(float(np.dot(ones, c)) for c in rcols)
-    n = len(pred)
+    n = len(pcols)
     xx = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -244,25 +244,6 @@ class FitResult:
     mse: float
 
 
-def _gram_from_design(X: DesignMatrix, ys):
-    """Inner products straight from the design columns, same numpy route
-    as gram_products so values agree bit for bit with table assembly."""
-    n = X.k + 1
-    acols = [np.asarray(c, dtype=np.float64) for c in X.cols]
-    xtx = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = float(np.dot(acols[i], acols[j]))
-            xtx[i][j] = v
-            xtx[j][i] = v
-    xtx[0][0] = float(X.d)
-    xtys = []
-    for y in ys:
-        ya = np.asarray(y, dtype=np.float64)
-        xtys.append([float(np.dot(c, ya)) for c in acols])
-    return xtx, xtys
-
-
 def fit_single(X: DesignMatrix, y) -> FitResult:
     """Least-squares fit of one responder on a design matrix."""
     return fit_multi(X, [y], ordering="a")[0]
@@ -273,27 +254,26 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` picks the multi-responder schedule ("a" or "b"); results
     agree to rounding. For ordering B the coefficients are recovered by a
-    separate solve, since that schedule does not produce them.
+    separate solve of the same assembled normal equations, since that
+    schedule does not produce them.
     """
     ys = [[float(v) for v in y] for y in ys]
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
-    xtx, xtys = _gram_from_design(X, ys)
+    tables = _gram([np.asarray(c, dtype=np.float64) for c in X.cols[1:]],
+                   [np.asarray(y, dtype=np.float64) for y in ys], X.d)
+    idx = range(X.k)
+    xtx = assemble_xtx(tables, idx)
+    xtys = [assemble_xty(tables, idx, t) for t in range(len(ys))]
     if ordering == "a":
         sses, betas, residuals = scan_fit_a(xtx, xtys, X.cols, ys, X.d,
                                             collect_residual=True)
     elif ordering == "b":
         sses, residuals = scan_fit_b(xtx, xtys, X.cols, ys, X.d,
                                      collect_residual=True)
-        fresh, _ = _gram_from_design(X, [])
-        n = X.k + 1
-        mult, recips = factor_symmetric(fresh, n)
-        betas = []
-        for xty in xtys:
-            v = list(xty)
-            forward_apply(mult, v, n)
-            betas.append(back_substitute(fresh, recips, v, n))
+        # scan_fit_b consumed xtx
+        betas = [solve_symmetric(assemble_xtx(tables, idx), xty) for xty in xtys]
     else:
         raise ValueError(f"unknown ordering {ordering!r}, expected 'a' or 'b'")
     out = []

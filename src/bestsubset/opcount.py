@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import hat
 from .errors import InternalNumericError, SingularMatrixError
 from .kernels import conditional_uuc, omega_sq_stacked, triangulate
+from .search import _slice, _stack
 from .stats import build_correlation_model, synthetic_observations
 
 __all__ = [
@@ -226,15 +227,14 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
 def _run_counted(method, model, tables, cols, ys, k, m, tally):
     subset = tuple(range(k))
     if method == "alg1":
-        for t in range(m):
-            a = _wrap_mat(_stacked(model, subset, t), tally)
-            omega_sq_stacked(a)
+        rx, rhos = _slice(model, subset)
+        for rho in rhos:
+            omega_sq_stacked(_wrap_mat(_stack(rx, rho), tally))
     elif method == "alg2":
-        rx = _wrap_mat([[model.rx_rows[i][j] for j in subset] for i in subset], tally)
-        cache = triangulate(rx)
-        for t in range(m):
-            rho = _wrap_vec([model.ry_rows[t][j] for j in subset], tally)
-            conditional_uuc(cache, rho)
+        rx, rhos = _slice(model, subset)
+        cache = triangulate(_wrap_mat(rx, tally))
+        for rho in rhos:
+            conditional_uuc(cache, _wrap_vec(rho, tally))
     else:
         xtx = _wrap_mat(hat.assemble_xtx(tables, subset), tally)
         xtys = [_wrap_vec(hat.assemble_xty(tables, subset, t), tally) for t in range(m)]
@@ -244,18 +244,6 @@ def _run_counted(method, model, tables, cols, ys, k, m, tally):
             hat.scan_fit_b(xtx, xtys, wcols, wys, tables.d)
         else:
             hat.scan_fit_a(xtx, xtys, wcols, wys, tables.d)
-
-
-def _stacked(model, subset, t):
-    k = len(subset)
-    a = [[0.0] * (k + 1) for _ in range(k + 1)]
-    for i, ci in enumerate(subset):
-        for j, cj in enumerate(subset):
-            a[i][j] = model.rx_rows[ci][cj]
-        a[i][k] = model.ry_rows[t][ci]
-        a[k][i] = model.ry_rows[t][ci]
-    a[k][k] = 1.0
-    return a
 
 
 def measure_counts(method: str, k: int, d: int = 30, m: int = 1,

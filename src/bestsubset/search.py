@@ -28,6 +28,7 @@ from .errors import (
     SingularMatrixError,
     UnknownMethodError,
 )
+from .gauss import solve_symmetric
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
@@ -64,9 +65,24 @@ def slice_correlations(model: CorrelationModel, subset, responder: int):
     bit-identical to computing the correlations pairwise on raw columns.
     Returns (rx, rho) as fresh nested lists safe to consume.
     """
+    rx, rhos = _slice(model, subset)
+    return rx, rhos[responder]
+
+
+def _slice(model: CorrelationModel, subset):
+    """Predictor block of one subset and every responder's vector on it.
+
+    The single reader of the model's nested-list copies, so every scorer,
+    the coefficient recovery and the counting harness see the same entries.
+    """
     rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
-    rrow = model.ry_rows[responder]
-    return rx, [rrow[j] for j in subset]
+    return rx, [[row[j] for j in subset] for row in model.ry_rows]
+
+
+def _stack(rx, rho):
+    """Stacked (k+1) x (k+1) correlation matrix, responder last; ``rx`` is
+    copied, not consumed."""
+    return [row + [r] for row, r in zip(rx, rho)] + [rho + [1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -120,74 +136,26 @@ class ArgminWindow:
 
 
 # ---------------------------------------------------------------------------
-# per-method subset scanners
+# the subset scan
 # ---------------------------------------------------------------------------
 
-def _scan_cond(model, subsets, m):
+def _scan(score, subsets, m):
+    """Reduce a subset stream into one argmin window per responder.
+
+    ``score(subset)`` returns the m responder scores or raises
+    SingularMatrixError; the methods only ever raise on predictor pivots,
+    so a raise drops the whole subset and counts it as skipped.
+    """
     windows = [ArgminWindow() for _ in range(m)]
     skipped = 0
     for subset in subsets:
-        rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
         try:
-            cache = triangulate(rx)
+            scores = score(subset)
         except SingularMatrixError:
             skipped += 1
             continue
         for t in range(m):
-            rrow = model.ry_rows[t]
-            res = conditional_uuc(cache, [rrow[j] for j in subset])
-            windows[t].add(res.omega_sq, subset)
-    return windows, skipped
-
-
-def _scan_stacked(model, subsets, m):
-    windows = [ArgminWindow() for _ in range(m)]
-    skipped = 0
-    for subset in subsets:
-        try:
-            for t in range(m):
-                rrow = model.ry_rows[t]
-                a = _stacked_matrix(model, subset, rrow)
-                omega = omega_sq_stacked(a)
-                windows[t].add(omega, subset)
-        except SingularMatrixError:
-            # pivots checked are all predictor pivots, so the failure is
-            # responder independent: drop the whole subset
-            skipped += 1
-    return windows, skipped
-
-
-def _stacked_matrix(model, subset, rrow):
-    k = len(subset)
-    a = [[None] * (k + 1) for _ in range(k + 1)]
-    for i, ci in enumerate(subset):
-        row = model.rx_rows[ci]
-        for j, cj in enumerate(subset):
-            a[i][j] = row[cj]
-        a[i][k] = rrow[ci]
-        a[k][i] = rrow[ci]
-    a[k][k] = 1.0
-    return a
-
-
-def _scan_hat(tables, cols, ys, subsets, m, ordering):
-    windows = [ArgminWindow() for _ in range(m)]
-    skipped = 0
-    d = tables.d
-    for subset in subsets:
-        xtx = hat.assemble_xtx(tables, subset)
-        xtys = [hat.assemble_xty(tables, subset, t) for t in range(m)]
-        sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
-        try:
-            if ordering == "a":
-                sses, _, _ = hat.scan_fit_a(xtx, xtys, sub_cols, ys, d)
-            else:
-                sses, _ = hat.scan_fit_b(xtx, xtys, sub_cols, ys, d)
-        except SingularMatrixError:
-            skipped += 1
-            continue
-        for t in range(m):
-            windows[t].add(sses[t] / d, subset)
+            windows[t].add(scores[t], subset)
     return windows, skipped
 
 
@@ -236,8 +204,8 @@ def select_best(
     data : ObservationMatrix
     predictors, responders : sequences of disjoint column indices
     k : subset size, 1 <= k <= min(n, d-1)
-    method : one of METHODS; all four select the same subsets, they just
-        get there at very different cost
+    method : one of METHODS; in exact arithmetic all four select the same
+        subsets, they just get there at very different cost
     workers : worker threads for the scan; the result does not depend on it
     pair_limit : cap on scored (subset, responder) pairs, None or 0 for
         unlimited
@@ -266,15 +234,29 @@ def select_best(
     workers = max(1, min(int(workers), total))
 
     model = build_correlation_model(data, pred, resp)
+    tables = None
     if method in ("hat-a", "hat-b"):
         tables = hat.gram_products(data, pred, resp)
         cols = [[1.0] * data.d] + [data.column_list(c) for c in pred]
         ys = [data.column_list(c) for c in resp]
-        scan = lambda subsets: _scan_hat(tables, cols, ys, subsets, m, method[-1])
+        fit = hat.scan_fit_a if method == "hat-a" else hat.scan_fit_b
+        d = data.d
+
+        def score(subset):
+            xtx = hat.assemble_xtx(tables, subset)
+            xtys = [hat.assemble_xty(tables, subset, t) for t in range(m)]
+            sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
+            return [sse / d for sse in fit(xtx, xtys, sub_cols, ys, d)[0]]
     elif method == "algorithm1":
-        scan = lambda subsets: _scan_stacked(model, subsets, m)
+        def score(subset):
+            rx, rhos = _slice(model, subset)
+            return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
     else:
-        scan = lambda subsets: _scan_cond(model, subsets, m)
+        def score(subset):
+            rx, rhos = _slice(model, subset)
+            cache = triangulate(rx)
+            return [conditional_uuc(cache, rho).omega_sq for rho in rhos]
+    scan = lambda subsets: _scan(score, subsets, m)
 
     if workers == 1:
         windows, skipped = scan(enumerate_subsets(n, k))
@@ -294,21 +276,22 @@ def select_best(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
     return [
-        _finalise(data, model, method, windows[t], t, skipped, total - skipped)
+        _finalise(model, tables, windows[t], t, skipped, total - skipped)
         for t in range(m)
     ]
 
 
-def _finalise(data, model, method, window, t, skipped, evaluated) -> SelectionResult:
+def _finalise(model, tables, window, t, skipped, evaluated) -> SelectionResult:
     score, subset = window.winner()
     sigma_y = model.resp_sigma[t]
     sigma_y_sq = sigma_y * sigma_y
-    if method in ("hat-a", "hat-b"):
+    if tables is not None:
+        # the scan already factored this exact matrix without a skip
         mse = score
         omega = mse / sigma_y_sq
-        X = hat.DesignMatrix([data.column_list(model.predictors[j]) for j in subset])
-        fit = hat.fit_single(X, data.column_list(model.responders[t]))
-        coeff = RegressionCoefficients(beta0=fit.beta[0], betas=fit.beta[1:])
+        beta = solve_symmetric(hat.assemble_xtx(tables, subset),
+                               hat.assemble_xty(tables, subset, t))
+        coeff = RegressionCoefficients(beta0=beta[0], betas=tuple(beta[1:]))
     else:
         omega = score
         mse = sigma_y_sq * omega

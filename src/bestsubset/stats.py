@@ -158,7 +158,16 @@ def correlation_matrix(data: ObservationMatrix, columns) -> np.ndarray:
     1 and the matrix is exactly symmetric. Restricting ``columns`` to a
     subset reproduces the corresponding submatrix bit-for-bit.
     """
-    cols = list(columns)
+    return _pairwise(data, list(columns))[0]
+
+
+def _pairwise(data: ObservationMatrix, cols):
+    """Pairwise correlation matrix of ``cols`` plus each column's stats.
+
+    Entry (i, j) depends only on columns i and j, and np.dot and the sigma
+    product are symmetric in their operands, so any slice of the result,
+    in either orientation, equals the pairwise value bit for bit.
+    """
     devs, stats = _devs_and_stats(data, cols)
     q = len(cols)
     out = np.ones((q, q), dtype=np.float64)
@@ -168,7 +177,7 @@ def correlation_matrix(data: ObservationMatrix, columns) -> np.ndarray:
                                    data.d, cols[i], cols[j])
             out[i, j] = r
             out[j, i] = r
-    return out
+    return out, stats
 
 
 def _devs_and_stats(data: ObservationMatrix, cols):
@@ -223,8 +232,9 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
     """Compute all pairwise correlations needed by the subset search.
 
     Predictor/predictor correlations and predictor/responder correlations
-    are produced with the exact same pairwise routine as :func:`pearson`,
-    which is what makes later slicing bit-faithful.
+    are slices of one :func:`correlation_matrix` pass over predictors then
+    responders, the same pairwise routine as :func:`pearson`, which is what
+    makes later slicing bit-faithful.
     """
     pred = tuple(int(c) for c in predictors)
     resp = tuple(int(c) for c in responders)
@@ -236,22 +246,10 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
         if not 0 <= c < data.p:
             raise ValueError(f"column index {c} out of range for p={data.p}")
 
-    pdevs, pstats = _devs_and_stats(data, pred)
-    rdevs, rstats = _devs_and_stats(data, resp)
-
-    n, m = len(pred), len(resp)
-    rx = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = _pearson_from_devs(pdevs[i], pstats[i], pdevs[j], pstats[j],
-                                   data.d, pred[i], pred[j])
-            rx[i, j] = r
-            rx[j, i] = r
-    ry = np.empty((m, n), dtype=np.float64)
-    for t in range(m):
-        for j in range(n):
-            ry[t, j] = _pearson_from_devs(rdevs[t], rstats[t], pdevs[j], pstats[j],
-                                          data.d, resp[t], pred[j])
+    n = len(pred)
+    full, stats = _pairwise(data, pred + resp)
+    rx, ry = full[:n, :n], full[n:, :n]
+    pstats, rstats = stats[:n], stats[n:]
 
     return CorrelationModel(
         d=data.d,

@@ -4,7 +4,7 @@ import numpy as np
 
 from bestsubset import build_correlation_model, synthetic_observations
 from bestsubset.kernels import conditional_uuc, triangulate
-from bestsubset.search import enumerate_subsets
+from bestsubset.search import _slice, enumerate_subsets
 
 
 def det_cofactor(a):
@@ -54,15 +54,12 @@ def all_cond_scores(model, k):
     """
     out = {}
     for subset in enumerate_subsets(model.n, k):
-        rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
+        rx, rhos = _slice(model, subset)
         try:
             cache = triangulate(rx)
         except Exception:
             continue
-        out[subset] = [
-            conditional_uuc(cache, [model.ry_rows[t][j] for j in subset]).omega_sq
-            for t in range(model.m)
-        ]
+        out[subset] = [conditional_uuc(cache, rho).omega_sq for rho in rhos]
     return out
 
 

@@ -27,7 +27,7 @@ from bestsubset import (
 from bestsubset.cli import run_bench
 from bestsubset.kernels import conditional_uuc, triangulate
 from bestsubset.opcount import OpTally
-from bestsubset.search import METHODS
+from bestsubset.search import METHODS, slice_correlations
 from bestsubset.stats import ObservationMatrix, pearson
 
 N_INSTANCES = 200
@@ -287,8 +287,7 @@ def _check_monotonicity():
         prev = None
         for size in range(1, 6):
             subset = tuple(sorted(order[:size]))
-            rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
-            rho = [model.ry_rows[0][j] for j in subset]
+            rx, rho = slice_correlations(model, subset, 0)
             omega = conditional_uuc(triangulate(rx), rho).omega_sq
             if prev is not None and omega > prev + 1e-12:
                 return False
@@ -307,8 +306,7 @@ def _check_orthogonal_closed_form():
     data = ObservationMatrix(np.column_stack([h, y]))
     model = build_correlation_model(data, list(range(7)), [7])
     for subset in ((0, 1), (2, 4, 6), (0, 1, 2, 3, 4)):
-        rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
-        rho = [model.ry_rows[0][j] for j in subset]
+        rx, rho = slice_correlations(model, subset, 0)
         omega = conditional_uuc(triangulate(rx), rho).omega_sq
         closed = 1.0 - sum(pearson(h[:, j], y) ** 2 for j in subset)
         if abs(omega - closed) > 1e-12:

@@ -14,10 +14,13 @@ from bestsubset import (
     NoValidSubsetError,
     ObservationMatrix,
     UnknownMethodError,
+    gram_products,
     pearson,
     select_best,
     synthetic_observations,
 )
+from bestsubset.gauss import solve_symmetric
+from bestsubset.hat import assemble_xtx, assemble_xty
 from bestsubset.search import METHODS, ArgminWindow, enumerate_subsets, slice_correlations
 
 
@@ -235,3 +238,34 @@ def test_factorisation_amortised_once_per_subset(monkeypatch):
     total = math.comb(6, 2)
     assert calls["triangulate"] == total
     assert calls["tail"] == total * 3
+
+
+def _collinear_shifted_instance(seed):
+    """Columns 0 and 1 nearly collinear, responders fitted almost exactly
+    on them, per-column scales in 1e-6..1e6 and shifts up to 1e8: the
+    uncentered normal equations of the hat-* baseline sit near singular."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(15, 60))
+    n = int(rng.integers(4, 8))
+    m = 2
+    x = rng.standard_normal((d, n))
+    x[:, 1] = x[:, 0] + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(d)
+    y = x[:, :2] @ rng.standard_normal((2, m)) + 1e-6 * rng.standard_normal((d, m))
+    table = np.column_stack([x, y]) * 10.0 ** rng.uniform(-6, 6, n + m)
+    table = table + (rng.random(n + m) < 0.5) * rng.uniform(-1e8, 1e8, n + m)
+    k = int(rng.integers(1, 4))
+    return ObservationMatrix(table), list(range(n)), list(range(n, n + m)), k
+
+
+@pytest.mark.parametrize("seed", [0, 8, 12])
+def test_hat_coefficients_solve_the_scanned_normal_equations(seed):
+    """The hat-* winner's coefficients come from the very tables the scan
+    factored, so a subset the scan scored never fails when refitted."""
+    data, pred, resp, k = _collinear_shifted_instance(seed)
+    tables = gram_products(data, pred, resp)
+    for method in ("hat-a", "hat-b"):
+        for t, r in enumerate(select_best(data, pred, resp, k, method=method)):
+            beta = solve_symmetric(assemble_xtx(tables, r.subset),
+                                   assemble_xty(tables, r.subset, t))
+            assert r.coefficients.beta0 == beta[0]
+            assert r.coefficients.betas == tuple(beta[1:])

@@ -12,6 +12,7 @@ from bestsubset import (
     pearson,
     synthetic_observations,
 )
+from bestsubset.search import _stack, slice_correlations
 
 
 def test_column_stats_known_values():
@@ -97,6 +98,13 @@ def test_correlation_matrix_submatrix_bit_identical():
     sub = [1, 3, 4, 6]
     small = correlation_matrix(data, sub)
     assert np.array_equal(small, full[np.ix_(sub, sub)])
+    # the scan's stacked matrix, built from the model slice, is the same
+    # pairwise computation with the responder moved last
+    model = build_correlation_model(data, [0, 1, 2, 3, 4], [5, 6])
+    for subset, t in (((0,), 0), ((1, 3), 1), ((0, 2, 4), 0), ((0, 1, 2, 3, 4), 1)):
+        stacked = _stack(*slice_correlations(model, subset, t))
+        cols = [model.predictors[j] for j in subset] + [model.responders[t]]
+        assert np.array_equal(np.array(stacked), correlation_matrix(data, cols))
 
 
 def test_large_sample_off_diagonals_small():
