@@ -52,10 +52,13 @@ for k in range(1, 5):
     print(f"k={k}: best={res.subset_columns}  mse={res.mse:.6f}")
 
 # ---------------------------------------------------------------------
-# 5. The scan parallelizes over subset ranges; reports are identical
-#    for any worker count thanks to deterministic argmin merging.
+# 5. Ties go to the lexicographically smallest subset. Append an exact
+#    copy of column 1 as predictor 8: (1, 5) and (5, 8) now score
+#    identically, (1, 8) is collinear and skipped, and (1, 5) wins
+#    regardless of the order subsets are scored in.
 # ---------------------------------------------------------------------
-serial = select_best(data, list(range(n)), [n], k=3, workers=1)[0]
-threaded = select_best(data, list(range(n)), [n], k=3, workers=4)[0]
-assert serial.subset == threaded.subset and serial.mse == threaded.mse
-print("workers=1 and workers=4 agree bit for bit")
+twin = ObservationMatrix(np.column_stack([x, x[:, 1], y]))
+res = select_best(twin, list(range(n + 1)), [n + 1], k=2)[0]
+assert res.subset_columns == (1, 5) and res.skipped_singular == 1
+print(f"with a copy of x1 as x8: best={res.subset_columns}, "
+      f"{res.skipped_singular} collinear subset skipped")

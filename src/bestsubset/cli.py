@@ -169,6 +169,8 @@ def parse_column_spec(spec: str, names, p: int, what: str):
             continue
         lo, dash, hi = token.partition("-")
         if dash and lo.isdigit() and hi.isdigit():
+            if int(lo) > int(hi):
+                raise ValueError(f"{what}: range {token!r} runs backwards")
             out.extend(range(int(lo), int(hi) + 1))
             continue
         raise ValueError(
@@ -369,7 +371,8 @@ def cmd_verify(args) -> int:
 
 
 def run_bench(d, n, k, m, seed, limit, threads=1, methods=METHODS):
-    """Time full enumerations per method on one synthetic instance."""
+    """Time full enumerations per method on one synthetic instance;
+    ``threads`` is accepted and ignored, like ``select_best``'s ``workers``."""
     data = synthetic_observations(d, n + m, seed=seed)
     pred = list(range(n))
     resp = list(range(n, n + m))
@@ -460,7 +463,8 @@ def _add_common(p, method=True):
     if method:
         p.add_argument("--method", choices=METHODS, default="cond-uncorrelation")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; the scan is single-threaded")
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed for synthetic data")
     p.add_argument("--limit", type=int, default=DEFAULT_PAIR_LIMIT,
@@ -493,7 +497,8 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; the scan is single-threaded")
     p.add_argument("--limit", type=int, default=DEFAULT_PAIR_LIMIT)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.set_defaults(func=cmd_bench)

@@ -21,16 +21,16 @@ from .tolerances import EPS_PIV
 __all__ = ["factor_symmetric", "forward_apply", "back_substitute", "solve_symmetric"]
 
 
-def factor_symmetric(a, n):
-    """Triangulate a symmetric n x n matrix in place.
+def _eliminate(a, n):
+    """Run the first n - 1 pivots of the elimination in place.
 
-    On return ``a`` holds the upper triangular factor. Returns a pair
-    ``(mult, recips)``: ``mult[i][j]`` is the multiplier that eliminated
-    entry (j, i), ``recips[i]`` the reciprocal of pivot i. Both are needed
-    to process right hand sides later.
+    Returns ``(mult, recips)`` as :func:`factor_symmetric` does, except
+    that ``recips[n - 1]`` is still None: the last diagonal entry never
+    serves as a pivot here and is left unchecked, so callers that read it
+    as a determinant ratio see an exact 0 rather than an error.
 
-    Raises SingularMatrixError when a pivot falls below the shared
-    collinearity threshold, before its reciprocal is taken.
+    Raises SingularMatrixError when one of the first n - 1 pivots falls
+    below the shared collinearity threshold.
     """
     mult = [[None] * n for _ in range(n)]
     recips = [None] * n
@@ -47,6 +47,21 @@ def factor_symmetric(a, n):
             row_j = a[j]
             for p in range(j, n):
                 row_j[p] = row_j[p] - row_i[p] * temp
+    return mult, recips
+
+
+def factor_symmetric(a, n):
+    """Triangulate a symmetric n x n matrix in place.
+
+    On return ``a`` holds the upper triangular factor. Returns a pair
+    ``(mult, recips)``: ``mult[i][j]`` is the multiplier that eliminated
+    entry (j, i), ``recips[i]`` the reciprocal of pivot i. Both are needed
+    to process right hand sides later.
+
+    Raises SingularMatrixError when a pivot falls below the shared
+    collinearity threshold, before its reciprocal is taken.
+    """
+    mult, recips = _eliminate(a, n)
     last = a[n - 1][n - 1]
     if abs(last) < EPS_PIV:
         raise SingularMatrixError(n - 1, float(last))

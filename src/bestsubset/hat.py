@@ -123,26 +123,14 @@ def assemble_xty(tables: GramTables, subset, t):
 # scalar fitting kernels
 # ---------------------------------------------------------------------------
 
-def _sse_from_beta(cols, y, beta, n, d, collect):
-    """Residual pass: predict row by row, subtract, accumulate the
-    squared norm. ``cols[0]`` is the all-ones column and takes part in
-    the accumulation like any other, so each row costs n+1 products."""
-    sse = 0.0
-    res = [] if collect else None
-    for r in range(d):
-        acc = 0.0
-        for j in range(n):
-            acc = acc + beta[j] * cols[j][r]
-        e = y[r] - acc
-        sse = sse + e * e
-        if collect:
-            res.append(e)
-    return sse, res
-
-
 def _sse_from_rows(rows, vec, y, n, d, collect):
-    """Residual pass for ordering B: each prediction is a dot product of
-    a precomputed projector row with X^T y."""
+    """Residual pass: predict row by row as the dot product of ``rows[r]``
+    with ``vec``, subtract, accumulate the squared norm.
+
+    Ordering A passes the design rows with beta, ordering B the projector
+    rows with X^T y. The all-ones column takes part in the accumulation
+    like any other, so each row costs n + 1 products with the square.
+    """
     sse = 0.0
     res = [] if collect else None
     for r in range(d):
@@ -166,6 +154,7 @@ def scan_fit_a(xtx, xtys, cols, ys, d, collect_residual=False):
     """
     n = len(xtx)
     mult, recips = factor_symmetric(xtx, n)
+    rows = list(zip(*cols))
     sses = []
     betas = []
     residuals = [] if collect_residual else None
@@ -173,7 +162,7 @@ def scan_fit_a(xtx, xtys, cols, ys, d, collect_residual=False):
         v = list(xty)
         forward_apply(mult, v, n)
         beta = back_substitute(xtx, recips, v, n)
-        sse, res = _sse_from_beta(cols, ys[t], beta, n, d, collect_residual)
+        sse, res = _sse_from_rows(rows, beta, ys[t], n, d, collect_residual)
         sses.append(sse)
         betas.append(beta)
         if collect_residual:

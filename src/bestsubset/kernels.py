@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalNumericError, SingularMatrixError
-from .gauss import solve_symmetric
+from .gauss import _eliminate, solve_symmetric
 from .tolerances import EPS_NUM, EPS_PIV
 
 __all__ = [
@@ -48,27 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # generic scalar cores (shared with the counting harness)
 # ---------------------------------------------------------------------------
-
-def _stacked_core(a, n):
-    """Upper-triangulate an n x n symmetric matrix in place, return last pivot.
-
-    Only the upper triangle is touched; the elimination multiplier is
-    rebuilt from the current row via one reciprocal per pivot. The last
-    diagonal entry never serves as a pivot and is returned as is.
-    """
-    for i in range(n - 1):
-        pivot = a[i][i]
-        if abs(pivot) < EPS_PIV:
-            raise SingularMatrixError(i, float(pivot))
-        recip = 1.0 / pivot
-        row_i = a[i]
-        for j in range(i + 1, n):
-            temp = row_i[j] * recip
-            row_j = a[j]
-            for p in range(j, n):
-                row_j[p] = row_j[p] - row_i[p] * temp
-    return a[n - 1][n - 1]
-
 
 def _predictor_core(rx, rt, eta, k):
     """Factor the predictor correlation matrix for repeated responder use.
@@ -163,13 +142,10 @@ def uuc_squared(r) -> float:
     """
     n = len(r)
     a = [list(row) for row in r]
-    if n == 1:
-        return _clamp_omega(float(a[0][0]), "uuc_squared")
-    last = _stacked_core(a, n)
+    _eliminate(a, n)
     det = a[0][0]
-    for i in range(1, n - 1):
+    for i in range(1, n):
         det = det * a[i][i]
-    det = det * last
     return _clamp_omega(float(det), "uuc_squared")
 
 
@@ -182,7 +158,8 @@ def omega_sq_stacked(r_xy) -> float:
     det(R_xy) / det(R_x), the squared conditional UUC.
     """
     n = len(r_xy)
-    return _clamp_omega(float(_stacked_core(r_xy, n)), "omega_sq_stacked")
+    _eliminate(r_xy, n)
+    return _clamp_omega(float(r_xy[n - 1][n - 1]), "omega_sq_stacked")
 
 
 def triangulate(r_x) -> TriangularCache:

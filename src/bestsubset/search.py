@@ -6,18 +6,12 @@ k^2 tail per responder; the least-squares baselines pay a full fit
 including a pass over all d observations. Subsets whose predictor block
 is numerically collinear are skipped, and the skip decision depends only
 on the predictors, never on the responder.
-
-The scan is embarrassingly parallel. Each worker reduces its share of
-the stream into a small candidate window per responder and the windows
-are merged at the end; the merge is associative, so the reported winner
-is identical for any worker count or partition.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import hat
@@ -97,8 +91,7 @@ class ArgminWindow:
     pairwise epsilon comparisons (which are not associative), the window
     keeps every candidate that could still win: one is dropped only when
     some kept candidate has both a score no larger and a smaller subset.
-    Merging two windows therefore yields the same winner as scanning the
-    concatenated stream, for any split.
+    The winner therefore does not depend on the order of the stream.
     """
 
     __slots__ = ("eps", "entries")
@@ -121,10 +114,6 @@ class ArgminWindow:
                 return
         self.entries = [e for e in entries if not (e[0] >= score and e[1] > subset)]
         self.entries.append((score, subset))
-
-    def merge(self, other: "ArgminWindow") -> None:
-        for s, t in other.entries:
-            self.add(s, t)
 
     def winner(self) -> tuple[float, tuple[int, ...]]:
         if not self.entries:
@@ -179,15 +168,6 @@ class SelectionResult:
     subsets_evaluated: int
 
 
-def _subset_chunks(n, k, workers, total):
-    """Split the lexicographic stream into contiguous per-worker slices."""
-    bounds = [round(w * total / workers) for w in range(workers + 1)]
-    for w in range(workers):
-        lo, hi = bounds[w], bounds[w + 1]
-        if lo < hi:
-            yield itertools.islice(itertools.combinations(range(n), k), lo, hi)
-
-
 def select_best(
     data: ObservationMatrix,
     predictors,
@@ -206,7 +186,8 @@ def select_best(
     k : subset size, 1 <= k <= min(n, d-1)
     method : one of METHODS; in exact arithmetic all four select the same
         subsets, they just get there at very different cost
-    workers : worker threads for the scan; the result does not depend on it
+    workers : accepted and ignored; the pure-Python scan holds the GIL,
+        so threads never sped it up (measured 0.53-1.00x with 2)
     pair_limit : cap on scored (subset, responder) pairs, None or 0 for
         unlimited
 
@@ -231,7 +212,6 @@ def select_best(
             f"{total} subsets x {m} responders = {total * m} scored pairs "
             f"exceeds the limit of {pair_limit}; raise --limit to proceed"
         )
-    workers = max(1, min(int(workers), total))
 
     model = build_correlation_model(data, pred, resp)
     tables = None
@@ -256,21 +236,8 @@ def select_best(
             rx, rhos = _slice(model, subset)
             cache = triangulate(rx)
             return [conditional_uuc(cache, rho).omega_sq for rho in rhos]
-    scan = lambda subsets: _scan(score, subsets, m)
 
-    if workers == 1:
-        windows, skipped = scan(enumerate_subsets(n, k))
-    else:
-        chunks = list(_subset_chunks(n, k, workers, total))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
-        windows = [ArgminWindow() for _ in range(m)]
-        skipped = 0
-        for part_windows, part_skipped in parts:
-            skipped += part_skipped
-            for t in range(m):
-                windows[t].merge(part_windows[t])
-
+    windows, skipped = _scan(score, enumerate_subsets(n, k), m)
     if skipped == total:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"

@@ -43,8 +43,8 @@ class ObservationMatrix:
 
     Notes
     -----
-    The underlying array is set read-only so it can be shared freely
-    between worker threads.
+    The underlying array is set read-only, so the correlation model and
+    Gram tables derived from it cannot go stale.
     """
 
     def __init__(self, values):

@@ -127,6 +127,10 @@ def test_column_spec_errors():
         cli.parse_column_spec("5", names, 3, "t")
     with pytest.raises(ValueError):
         cli.parse_column_spec(",", names, 3, "t")
+    # a reversed range is an error naming the token, not silently empty
+    for spec in ("0,2-1", "2-1"):
+        with pytest.raises(ValueError, match="'2-1'"):
+            cli.parse_column_spec(spec, names, 3, "t")
 
 
 # ---------------------------------------------------------------------------

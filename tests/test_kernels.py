@@ -17,6 +17,7 @@ from bestsubset import (
     triangulate,
     uuc_squared,
 )
+from bestsubset.gauss import factor_symmetric
 from bestsubset.search import enumerate_subsets, slice_correlations
 
 
@@ -120,6 +121,24 @@ def test_singular_subset_raises():
     a = [[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]]
     with pytest.raises(SingularMatrixError):
         omega_sq_stacked(a)
+
+
+def test_zero_last_pivot_is_a_perfect_fit_not_singular():
+    """A zero in the last pivot is omega^2 = 0, not a collinear subset.
+
+    ``factor_symmetric`` rejects the same matrices at their last pivot;
+    the stacked kernels must only check the first n - 1.
+    """
+    # y = x1 + x2 with corr(x1, x2) = -0.5 is standardised and exactly
+    # explained; every step of the elimination is exact in binary floats
+    for stacked in ([[1.0, 1.0], [1.0, 1.0]],
+                    [[1.0, -0.5, 0.5], [-0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]):
+        n = len(stacked)
+        assert uuc_squared(stacked) == 0.0
+        assert omega_sq_stacked([list(row) for row in stacked]) == 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            factor_symmetric([list(row) for row in stacked], n)
+        assert err.value.pivot_index == n - 1
 
 
 def test_inconsistent_input_caught():

@@ -76,8 +76,8 @@ def test_window_near_tie_within_eps():
     assert w.winner()[1] == (9,)
 
 
-def test_window_merge_equals_any_partition():
-    """The merged winner matches a single sequential scan for every split."""
+def test_window_winner_independent_of_stream_order():
+    """Shuffled, sorted and reversed streams all yield the same winner."""
     rng = np.random.default_rng(51)
     for trial in range(30):
         n = 12
@@ -87,19 +87,14 @@ def test_window_merge_equals_any_partition():
         jitter = rng.integers(-2, 3, size=n) * 4e-13
         stream = list(zip((base + jitter).tolist(), [tuple(s) for s in subsets]))
         rng.shuffle(stream)
-        ref = ArgminWindow()
-        for s, t in stream:
-            ref.add(s, t)
-        for _ in range(4):
-            cut = sorted(rng.integers(0, n, size=2))
-            parts = [stream[:cut[0]], stream[cut[0]:cut[1]], stream[cut[1]:]]
-            merged = ArgminWindow()
-            for part in parts:
-                w = ArgminWindow()
-                for s, t in part:
-                    w.add(s, t)
-                merged.merge(w)
-            assert merged.winner() == ref.winner()
+        by_subset = sorted(stream, key=lambda e: e[1])
+        winners = []
+        for order in (stream, by_subset, by_subset[::-1]):
+            w = ArgminWindow()
+            for s, t in order:
+                w.add(s, t)
+            winners.append(w.winner())
+        assert winners[0] == winners[1] == winners[2]
 
 
 # ---------------------------------------------------------------------------
