@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InternalNumericError, SingularMatrixError
 from .gauss import _eliminate, solve_symmetric
-from .tolerances import EPS_NUM, EPS_PIV
+from .tolerances import EPS_PIV, _clamp
 
 __all__ = [
     "TriangularCache",
@@ -122,18 +122,6 @@ class RegressionCoefficients:
     betas: tuple[float, ...]
 
 
-def _clamp_omega(value: float, what: str) -> float:
-    if value < 0.0:
-        if value < -EPS_NUM:
-            raise InternalNumericError(f"{what} = {value!r} is negative beyond tolerance")
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + EPS_NUM:
-            raise InternalNumericError(f"{what} = {value!r} exceeds 1 beyond tolerance")
-        return 1.0
-    return value
-
-
 def uuc_squared(r) -> float:
     """Squared UUC (determinant) of a correlation matrix.
 
@@ -146,7 +134,7 @@ def uuc_squared(r) -> float:
     det = a[0][0]
     for i in range(1, n):
         det = det * a[i][i]
-    return _clamp_omega(float(det), "uuc_squared")
+    return _clamp(float(det), 0.0, 1.0, "uuc_squared")
 
 
 def omega_sq_stacked(r_xy) -> float:
@@ -159,7 +147,7 @@ def omega_sq_stacked(r_xy) -> float:
     """
     n = len(r_xy)
     _eliminate(r_xy, n)
-    return _clamp_omega(float(r_xy[n - 1][n - 1]), "omega_sq_stacked")
+    return _clamp(float(r_xy[n - 1][n - 1]), 0.0, 1.0, "omega_sq_stacked")
 
 
 def triangulate(r_x) -> TriangularCache:
@@ -190,12 +178,12 @@ def conditional_uuc(cache: TriangularCache, rho) -> ConditionalUuc:
 
     ``rho`` holds the responder's correlations with the k subset
     predictors, in subset order. The result is clamped into [0, 1];
-    undershooting 0 by more than the consistency tolerance raises
+    leaving it by more than the consistency tolerance, or NaN, raises
     InternalNumericError.
     """
     omega, b = _responder_core(cache.rt, cache.eta, rho, cache.k)
     return ConditionalUuc(
-        omega_sq=_clamp_omega(float(omega), "conditional_uuc"),
+        omega_sq=_clamp(float(omega), 0.0, 1.0, "conditional_uuc"),
         b=tuple(float(v) for v in b),
     )
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import hat
 from .errors import InternalNumericError, SingularMatrixError
 from .kernels import conditional_uuc, omega_sq_stacked, triangulate
-from .search import _slice, _stack
+from .search import _stack
 from .stats import build_correlation_model, synthetic_observations
 
 __all__ = [
@@ -225,13 +225,13 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
 # ---------------------------------------------------------------------------
 
 def _run_counted(method, model, tables, cols, ys, k, m, tally):
+    # the scored subset range(k) is the whole k-predictor model
     subset = tuple(range(k))
+    rx, rhos = model.rx.tolist(), model.ry.tolist()
     if method == "alg1":
-        rx, rhos = _slice(model, subset)
         for rho in rhos:
             omega_sq_stacked(_wrap_mat(_stack(rx, rho), tally))
     elif method == "alg2":
-        rx, rhos = _slice(model, subset)
         cache = triangulate(_wrap_mat(rx, tally))
         for rho in rhos:
             conditional_uuc(cache, _wrap_vec(rho, tally))

@@ -59,18 +59,20 @@ def slice_correlations(model: CorrelationModel, subset, responder: int):
     bit-identical to computing the correlations pairwise on raw columns.
     Returns (rx, rho) as fresh nested lists safe to consume.
     """
-    rx, rhos = _slice(model, subset)
-    return rx, rhos[responder]
+    rx_rows = {i: model.rx[i].tolist() for i in subset}
+    rx, (rho,) = _slice(rx_rows, [model.ry[responder].tolist()], subset)
+    return rx, rho
 
 
-def _slice(model: CorrelationModel, subset):
+def _slice(rx_rows, ry_rows, subset):
     """Predictor block of one subset and every responder's vector on it.
 
-    The single reader of the model's nested-list copies, so every scorer,
-    the coefficient recovery and the counting harness see the same entries.
+    ``rx_rows``/``ry_rows`` hold rows of the model's ``rx``/``ry`` as
+    lists, converted by the caller once, never per subset. Every scorer and
+    the coefficient recovery read the model through here.
     """
-    rx = [[model.rx_rows[i][j] for j in subset] for i in subset]
-    return rx, [[row[j] for j in subset] for row in model.ry_rows]
+    rx = [[rx_rows[i][j] for j in subset] for i in subset]
+    return rx, [[row[j] for j in subset] for row in ry_rows]
 
 
 def _stack(rx, rho):
@@ -214,6 +216,7 @@ def select_best(
         )
 
     model = build_correlation_model(data, pred, resp)
+    rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
     tables = None
     if method in ("hat-a", "hat-b"):
         tables = hat.gram_products(data, pred, resp)
@@ -229,11 +232,11 @@ def select_best(
             return [sse / d for sse in fit(xtx, xtys, sub_cols, ys, d)[0]]
     elif method == "algorithm1":
         def score(subset):
-            rx, rhos = _slice(model, subset)
+            rx, rhos = _slice(rx_rows, ry_rows, subset)
             return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
     else:
         def score(subset):
-            rx, rhos = _slice(model, subset)
+            rx, rhos = _slice(rx_rows, ry_rows, subset)
             cache = triangulate(rx)
             return [conditional_uuc(cache, rho).omega_sq for rho in rhos]
 
@@ -243,12 +246,12 @@ def select_best(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
     return [
-        _finalise(model, tables, windows[t], t, skipped, total - skipped)
+        _finalise(model, rx_rows, ry_rows[t], tables, windows[t], t, skipped, total - skipped)
         for t in range(m)
     ]
 
 
-def _finalise(model, tables, window, t, skipped, evaluated) -> SelectionResult:
+def _finalise(model, rx_rows, ry_row, tables, window, t, skipped, evaluated) -> SelectionResult:
     score, subset = window.winner()
     sigma_y = model.resp_sigma[t]
     sigma_y_sq = sigma_y * sigma_y
@@ -262,7 +265,7 @@ def _finalise(model, tables, window, t, skipped, evaluated) -> SelectionResult:
     else:
         omega = score
         mse = sigma_y_sq * omega
-        rx, rho = slice_correlations(model, subset, t)
+        rx, (rho,) = _slice(rx_rows, [ry_row], subset)
         coeff = coefficients_from_correlations(
             rx, rho, sigma_y,
             [model.pred_sigma[j] for j in subset],

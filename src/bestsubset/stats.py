@@ -5,21 +5,22 @@ factors cancel inside every correlation, so selection results do not
 depend on that choice; keeping one convention everywhere just makes the
 intermediate quantities comparable across modules.
 
-Correlation entries are always computed pairwise from the two columns
-involved, never through a blocked matrix product. That makes the entry
-for a pair of columns independent of whatever other columns happen to be
-in the same request, so slicing a precomputed correlation matrix is
-bit-identical to recomputing the small matrix from raw data.
+Every correlation comes out of one routine, :func:`_pairwise`, pairwise
+from the two columns involved and never through a blocked matrix product
+(a block of a BLAS Gram matrix is not bit-identical to that block computed
+alone). So slicing a precomputed correlation matrix is bit-identical to
+recomputing the small matrix from raw data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalNumericError, ZeroVarianceColumn
-from .tolerances import EPS_NUM, EPS_VAR
+from .tolerances import EPS_VAR, _clamp
 
 __all__ = [
     "ObservationMatrix",
@@ -89,47 +90,27 @@ class ColumnStats:
         return self.sigma <= EPS_VAR * self.max_abs_dev
 
 
+def _centre(x) -> tuple[np.ndarray, ColumnStats]:
+    """Deviations of a vector from its mean, with its ColumnStats."""
+    v = np.asarray(x, dtype=np.float64)
+    mean = float(np.mean(v))
+    dev = v - mean
+    sigma = float(np.sqrt(np.dot(dev, dev) / v.shape[0]))
+    return dev, ColumnStats(mean=mean, sigma=sigma, max_abs_dev=float(np.max(np.abs(dev))))
+
+
 def column_stats(x) -> ColumnStats:
     """Mean and standard deviation of a vector, dividing by d (not d-1).
 
     A constant column yields sigma exactly 0; no error is raised here.
     Callers that need a correlation decide whether that is fatal.
     """
-    v = np.asarray(x, dtype=np.float64)
-    mean = float(np.mean(v))
-    dev = v - mean
-    sigma = float(np.sqrt(np.dot(dev, dev) / v.shape[0]))
-    return ColumnStats(mean=mean, sigma=sigma, max_abs_dev=float(np.max(np.abs(dev))))
+    return _centre(x)[1]
 
 
 # ---------------------------------------------------------------------------
 # Pearson correlation
 # ---------------------------------------------------------------------------
-
-def _clamp_correlation(rho: float, what: str) -> float:
-    # Rounding may push |rho| a hair past 1; anything further out means the
-    # inputs were inconsistent and we refuse to mask it.
-    if rho > 1.0:
-        if rho - 1.0 > EPS_NUM:
-            raise InternalNumericError(f"{what} = {rho!r} exceeds 1 beyond tolerance")
-        return 1.0
-    if rho < -1.0:
-        if -1.0 - rho > EPS_NUM:
-            raise InternalNumericError(f"{what} = {rho!r} is below -1 beyond tolerance")
-        return -1.0
-    return rho
-
-
-def _pearson_from_devs(dev_a, stats_a: ColumnStats, dev_b, stats_b: ColumnStats,
-                       d: int, label_a, label_b) -> float:
-    if stats_a.degenerate:
-        raise ZeroVarianceColumn(label_a, stats_a.sigma)
-    if stats_b.degenerate:
-        raise ZeroVarianceColumn(label_b, stats_b.sigma)
-    cov = float(np.dot(dev_a, dev_b)) / d
-    rho = cov / (stats_a.sigma * stats_b.sigma)
-    return _clamp_correlation(rho, f"pearson({label_a!r}, {label_b!r})")
-
 
 def pearson(x, y) -> float:
     """Pearson correlation of two equal-length vectors.
@@ -139,16 +120,14 @@ def pearson(x, y) -> float:
     ZeroVarianceColumn
         If either vector is (numerically) constant.
     InternalNumericError
-        If the computed value leaves [-1, 1] by more than the internal
-        consistency tolerance. Values within tolerance are clamped.
+        If a variance overflows or the value leaves [-1, 1] by more than
+        the internal consistency tolerance (within it, it is clamped).
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise ValueError("pearson expects two 1-D vectors of equal length")
-    sx = column_stats(xv)
-    sy = column_stats(yv)
-    return _pearson_from_devs(xv - sx.mean, sx, yv - sy.mean, sy, xv.shape[0], "x", "y")
+    return float(_pairwise([xv, yv], ["x", "y"])[0][0, 1])
 
 
 def correlation_matrix(data: ObservationMatrix, columns) -> np.ndarray:
@@ -158,38 +137,35 @@ def correlation_matrix(data: ObservationMatrix, columns) -> np.ndarray:
     1 and the matrix is exactly symmetric. Restricting ``columns`` to a
     subset reproduces the corresponding submatrix bit-for-bit.
     """
-    return _pairwise(data, list(columns))[0]
+    cols = list(columns)
+    return _pairwise([data.column(c) for c in cols], cols)[0]
 
 
-def _pairwise(data: ObservationMatrix, cols):
-    """Pairwise correlation matrix of ``cols`` plus each column's stats.
+def _pairwise(vectors, labels):
+    """Correlation matrix of equal-length ``vectors`` plus their ColumnStats.
 
-    Entry (i, j) depends only on columns i and j, and np.dot and the sigma
+    Each vector is centred and checked once; errors name it by ``labels``.
+    Entry (i, j) depends only on vectors i and j, and np.dot and the sigma
     product are symmetric in their operands, so any slice of the result,
     in either orientation, equals the pairwise value bit for bit.
     """
-    devs, stats = _devs_and_stats(data, cols)
-    q = len(cols)
+    devs, stats = [], []
+    for v, label in zip(vectors, labels):
+        dev, s = _centre(v)
+        if not math.isfinite(s.sigma):
+            raise InternalNumericError(f"column {label!r} has a variance that overflows float64")
+        if s.degenerate:
+            raise ZeroVarianceColumn(label, s.sigma)
+        devs.append(dev)
+        stats.append(s)
+    d, q = devs[0].shape[0], len(devs)
     out = np.ones((q, q), dtype=np.float64)
     for i in range(q):
         for j in range(i + 1, q):
-            r = _pearson_from_devs(devs[i], stats[i], devs[j], stats[j],
-                                   data.d, cols[i], cols[j])
-            out[i, j] = r
-            out[j, i] = r
+            rho = float(np.dot(devs[i], devs[j])) / d / (stats[i].sigma * stats[j].sigma)
+            out[i, j] = out[j, i] = _clamp(
+                rho, -1.0, 1.0, f"pearson({labels[i]!r}, {labels[j]!r})")
     return out, stats
-
-
-def _devs_and_stats(data: ObservationMatrix, cols):
-    devs = []
-    stats = []
-    for c in cols:
-        s = column_stats(data.column(c))
-        if s.degenerate:
-            raise ZeroVarianceColumn(c, s.sigma)
-        devs.append(data.column(c) - s.mean)
-        stats.append(s)
-    return devs, stats
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +177,9 @@ class CorrelationModel:
     """Global correlation structure for one selection problem.
 
     ``rx`` holds predictor/predictor correlations (n x n), ``ry`` holds one
-    row per responder with its correlations against every predictor (m x n).
-    Means and sigmas are kept so winners can be mapped back to regression
-    coefficients in original units.
+    row per responder with its correlations against every predictor (m x n),
+    the only stored copy. Means and sigmas are kept so winners can be mapped
+    back to regression coefficients in original units.
     """
 
     d: int
@@ -215,9 +191,6 @@ class CorrelationModel:
     pred_sigma: tuple[float, ...]
     resp_mean: tuple[float, ...]
     resp_sigma: tuple[float, ...]
-    # plain nested lists of the same values, cached for the scalar kernels
-    rx_rows: tuple[tuple[float, ...], ...] = field(repr=False, default=())
-    ry_rows: tuple[tuple[float, ...], ...] = field(repr=False, default=())
 
     @property
     def n(self) -> int:
@@ -232,9 +205,9 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
     """Compute all pairwise correlations needed by the subset search.
 
     Predictor/predictor correlations and predictor/responder correlations
-    are slices of one :func:`correlation_matrix` pass over predictors then
-    responders, the same pairwise routine as :func:`pearson`, which is what
-    makes later slicing bit-faithful.
+    are slices of one :func:`_pairwise` pass over predictors then
+    responders, the routine behind :func:`pearson`, which is what makes
+    later slicing bit-faithful. A constant or overflowing column raises.
     """
     pred = tuple(int(c) for c in predictors)
     resp = tuple(int(c) for c in responders)
@@ -247,7 +220,7 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
             raise ValueError(f"column index {c} out of range for p={data.p}")
 
     n = len(pred)
-    full, stats = _pairwise(data, pred + resp)
+    full, stats = _pairwise([data.column(c) for c in pred + resp], pred + resp)
     rx, ry = full[:n, :n], full[n:, :n]
     pstats, rstats = stats[:n], stats[n:]
 
@@ -261,8 +234,6 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
         pred_sigma=tuple(s.sigma for s in pstats),
         resp_mean=tuple(s.mean for s in rstats),
         resp_sigma=tuple(s.sigma for s in rstats),
-        rx_rows=tuple(tuple(float(v) for v in row) for row in rx),
-        ry_rows=tuple(tuple(float(v) for v in row) for row in ry),
     )
 
 

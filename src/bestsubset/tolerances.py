@@ -5,6 +5,8 @@ between the determinant-ratio path and the least-squares baseline so that
 both sides agree on which inputs count as degenerate.
 """
 
+from .errors import InternalNumericError
+
 # A column is degenerate when its standard deviation does not exceed this
 # fraction of its largest absolute deviation from the mean.
 EPS_VAR = 1e-12
@@ -18,6 +20,19 @@ EPS_PIV = 1e-10
 # coefficient may undershoot 0 by at most this much before we treat it as
 # a genuine numerical failure rather than benign rounding.
 EPS_NUM = 1e-9
+
+
+def _clamp(value: float, lo: float, hi: float, what: str) -> float:
+    """Range check on correlations and squared UUCs: a rounding miss of at
+    most EPS_NUM lands on the bound; further out, or NaN, raises."""
+    if lo <= value <= hi:
+        return value
+    if lo - EPS_NUM <= value < lo:
+        return lo
+    if hi < value <= hi + EPS_NUM:
+        return hi
+    raise InternalNumericError(f"{what} = {value!r} is outside [{lo}, {hi}] beyond tolerance")
+
 
 # Two subset scores within this absolute distance are treated as tied; the
 # lexicographically smallest index tuple wins.

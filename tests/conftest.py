@@ -53,8 +53,9 @@ def all_cond_scores(model, k):
     omitted.
     """
     out = {}
+    rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
     for subset in enumerate_subsets(model.n, k):
-        rx, rhos = _slice(model, subset)
+        rx, rhos = _slice(rx_rows, ry_rows, subset)
         try:
             cache = triangulate(rx)
         except Exception:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bestsubset import (
+    InternalNumericError,
     ObservationMatrix,
     ZeroVarianceColumn,
     build_correlation_model,
@@ -12,7 +13,9 @@ from bestsubset import (
     pearson,
     synthetic_observations,
 )
+from bestsubset import cli
 from bestsubset.search import _stack, slice_correlations
+from bestsubset.tolerances import EPS_NUM, _clamp
 
 
 def test_column_stats_known_values():
@@ -59,8 +62,60 @@ def test_pearson_never_leaves_unit_interval():
 
 
 def test_pearson_zero_variance_raises():
-    with pytest.raises(ZeroVarianceColumn):
+    """The error names the constant argument; correlation_matrix names the
+    raw column index."""
+    with pytest.raises(ZeroVarianceColumn) as err:
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    assert err.value.column == "x"
+    with pytest.raises(ZeroVarianceColumn) as err:
+        pearson([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    assert err.value.column == "y"
+    data = ObservationMatrix([[1.0, 4.0, 2.0], [2.0, 4.0, 1.0], [3.0, 4.0, 5.0]])
+    with pytest.raises(ZeroVarianceColumn) as err:
+        correlation_matrix(data, [2, 1, 0])
+    assert err.value.column == 1
+
+
+def test_overflowing_variance_rejected(tmp_path, capsys):
+    """A column whose variance overflows float64 is an error, not a column
+    that correlates 0 with everything.
+
+    y follows b closely, but b is written x1e200; with sigma_b = inf every
+    correlation with b used to come out exactly 0, and select picked [a]
+    with exit 0.
+    """
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(20), rng.standard_normal(20)
+    table = np.column_stack([a, b * 1e200, b + 0.01 * rng.standard_normal(20)])
+    data = ObservationMatrix(table)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(InternalNumericError, match="'y'"):
+            pearson(table[:, 2], table[:, 1])
+        with pytest.raises(InternalNumericError, match="column 1 "):
+            correlation_matrix(data, [0, 1, 2])
+        with pytest.raises(InternalNumericError, match="column 1 "):
+            build_correlation_model(data, [0, 1], [2])
+    path = tmp_path / "overflow.csv"
+    path.write_text("a,b,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in table.tolist()))
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["select", "--input", str(path), "--predictors", "a,b",
+                         "--responders", "y", "--k", "1"])
+    assert code == cli.EXIT_CODES["internal-numeric"]
+    assert "column 1 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
+def test_range_check_clamps_rounding_and_raises_beyond(lo, hi):
+    """The one range check on correlations and squared UUCs: an overshoot
+    within EPS_NUM lands on the bound, anything further out or NaN raises."""
+    assert _clamp(lo, lo, hi, "v") == lo
+    assert _clamp(hi, lo, hi, "v") == hi
+    assert _clamp(lo - EPS_NUM / 2, lo, hi, "v") == lo
+    assert _clamp(hi + EPS_NUM / 2, lo, hi, "v") == hi
+    for bad in (lo - 2 * EPS_NUM, hi + 2 * EPS_NUM, float("nan")):
+        with pytest.raises(InternalNumericError, match="what-it-was"):
+            _clamp(bad, lo, hi, "what-it-was")
 
 
 def test_pearson_matches_sample_normalisation_oracle():
@@ -137,10 +192,10 @@ def test_model_slices_match_pairwise_pearson():
     for i, ci in enumerate(model.predictors):
         for j, cj in enumerate(model.predictors):
             if i != j:
-                assert model.rx_rows[i][j] == pearson(data.column(ci), data.column(cj))
+                assert model.rx[i, j] == pearson(data.column(ci), data.column(cj))
     for t, cr in enumerate(model.responders):
         for j, cj in enumerate(model.predictors):
-            assert model.ry_rows[t][j] == pearson(data.column(cr), data.column(cj))
+            assert model.ry[t, j] == pearson(data.column(cr), data.column(cj))
 
 
 def test_model_rejects_overlap_and_empties():
