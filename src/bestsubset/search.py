@@ -1,11 +1,15 @@
 """Exhaustive subset search over all k-of-n predictor subsets.
 
-Candidates are enumerated in lexicographic index order. Per subset the
-determinant-ratio methods pay one predictor factorisation and then a
-k^2 tail per responder; the least-squares baselines pay a full fit
-including a pass over all d observations. Subsets whose predictor block
-is numerically collinear are skipped, and the skip decision depends only
-on the predictors, never on the responder.
+Candidates are enumerated in lexicographic index order. The production
+method, cond-uncorrelation, walks the subset tree level by level: each
+j-subset keeps its LDL^T factor, and every extension by one more column
+reuses that factor for a rank-one step, a block of extensions at a time
+in numpy. The reference methods score each subset on its own in pure
+Python: algorithm1 triangulates the stacked matrix, and the
+least-squares baselines pay a full fit including a pass over all d
+observations. Subsets whose predictor block is numerically collinear are
+skipped, and the skip decision depends only on the predictors, never on
+the responder.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import hat
 from .errors import (
@@ -31,7 +37,7 @@ from .kernels import (
     triangulate,
 )
 from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
-from .tolerances import DEFAULT_PAIR_LIMIT, TIE_EPS
+from .tolerances import DEFAULT_PAIR_LIMIT, EPS_PIV, TIE_EPS, _clamp
 
 __all__ = [
     "METHODS",
@@ -127,12 +133,13 @@ class ArgminWindow:
 
 
 # ---------------------------------------------------------------------------
-# the subset scan
+# the subset scans
 # ---------------------------------------------------------------------------
 
 def _scan(score, subsets, m):
     """Reduce a subset stream into one argmin window per responder.
 
+    The scan of the reference methods (algorithm1, hat-a, hat-b).
     ``score(subset)`` returns the m responder scores or raises
     SingularMatrixError; the methods only ever raise on predictor pivots,
     so a raise drops the whole subset and counts it as skipped.
@@ -148,6 +155,95 @@ def _scan(score, subsets, m):
         for t in range(m):
             windows[t].add(scores[t], subset)
     return windows, skipped
+
+
+# Subsets handled per numpy pass of the batched scan. Each tree level
+# holds at most this many nodes at a time, so the working set is about
+# BLOCK * k * (n + m) floats per level whatever C(n, k) is.
+BLOCK = 512
+
+
+def _scan_batched(rx, ry, k):
+    """Reduce every k-subset's conditional squared UUC into argmin windows.
+
+    ``rx`` is the n x n predictor correlation matrix and ``ry`` the m x n
+    responder rows. The subset tree is walked depth first, one block of
+    extensions at a time, in lexicographic order. A j-subset S carries,
+    in LDL^T form (no square roots):
+
+    * ``u = L^-1 R[S, :]`` (j x n), the Schur-updated rows of R;
+    * ``v = L^-1 rho[S, :]`` (j x m), the responders' forward recurrence;
+    * ``dinv``, the j pivot reciprocals;
+    * ``omega``, the m conditional squared UUCs of S.
+
+    Extending S by c costs O(j (n + m)): with ``g = u[:, c] * dinv`` the
+    Schur pivot is ``1 - g . u[:, c]``, the new v row ``rho_c - g . v`` and
+    omega drops by its square over the pivot. A pivot below EPS_PIV skips
+    the extension and every subset below it, as in the scalar kernel.
+    Leaf omega^2 outside [0, 1] go through the shared range check before
+    the argmin, so perfect fits tie at 0.0. Each block then hands the
+    windows only its leaves within TIE_EPS of the block minimum; every
+    possible winner is among them.
+
+    Returns (windows, skipped) like :func:`_scan`.
+    """
+    m, n = ry.shape
+    rho = np.ascontiguousarray(ry.T)
+    windows = [ArgminWindow() for _ in range(m)]
+    evaluated = 0
+
+    def reduce(subsets, omega):
+        nonlocal evaluated
+        evaluated += len(subsets)
+        for i, t in zip(*np.nonzero(~((omega >= 0.0) & (omega <= 1.0)))):
+            omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, "conditional_uuc")
+        near = omega <= omega.min(axis=0) + TIE_EPS
+        for i, t in zip(*np.nonzero(near)):
+            windows[t].add(float(omega[i, t]), tuple(subsets[i].tolist()))
+
+    def extend(subsets, u, v, dinv, omega):
+        j = subsets.shape[1]
+        last = subsets[:, -1]
+        # children c of S run from max(S) + 1 to the largest column that
+        # still leaves room for the k - j - 1 columns after it
+        counts = n - k + j - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        first = np.cumsum(counts) - counts
+        cols = last[parent] + 1 + np.arange(len(parent)) - first[parent]
+        for lo in range(0, len(parent), BLOCK):
+            p, c = parent[lo:lo + BLOCK], cols[lo:lo + BLOCK]
+            uc = u[p, :, c]
+            g = uc * dinv[p]
+            pivot = 1.0 - np.einsum("ij,ij->i", g, uc)
+            ok = np.abs(pivot) >= EPS_PIV
+            if not ok.all():
+                p, c, g, pivot = p[ok], c[ok], g[ok], pivot[ok]
+                if not len(p):
+                    continue
+            vp = v[p]
+            vc = rho[c] - np.einsum("ij,ijt->it", g, vp)
+            child = np.column_stack((subsets[p], c))
+            child_omega = omega[p] - vc * vc / pivot[:, None]
+            if j + 1 == k:
+                reduce(child, child_omega)
+                continue
+            up = u[p]
+            row = rx[c] - np.einsum("ij,ijq->iq", g, up)
+            extend(child,
+                   np.concatenate((up, row[:, None, :]), axis=1),
+                   np.concatenate((vp, vc[:, None, :]), axis=1),
+                   np.column_stack((dinv[p], 1.0 / pivot)),
+                   child_omega)
+
+    for lo in range(0, n - k + 1, BLOCK):
+        roots = np.arange(lo, min(lo + BLOCK, n - k + 1))
+        omega = 1.0 - rho[roots] * rho[roots]
+        if k == 1:
+            reduce(roots[:, None], omega)
+        else:
+            extend(roots[:, None], rx[roots, None, :], rho[roots, None, :],
+                   np.ones((len(roots), 1)), omega)
+    return windows, math.comb(n, k) - evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +283,13 @@ def select_best(
     predictors, responders : sequences of disjoint column indices
     k : subset size, 1 <= k <= min(n, d-1)
     method : one of METHODS; in exact arithmetic all four select the same
-        subsets, they just get there at very different cost
-    workers : accepted and ignored; the pure-Python scan holds the GIL,
-        so threads never sped it up (measured 0.53-1.00x with 2)
+        subsets, they just get there at very different cost.
+        cond-uncorrelation walks the subset tree in numpy blocks, sharing
+        each prefix's factor with all of its extensions, and re-scores
+        only the winners with the scalar kernels; the other three score
+        every subset on its own in pure Python
+    workers : accepted and ignored; threads never sped up the scan
+        (measured 0.53-1.00x with 2 on the pure-Python scan)
     pair_limit : cap on scored (subset, responder) pairs, None or 0 for
         unlimited
 
@@ -234,24 +334,24 @@ def select_best(
         def score(subset):
             rx, rhos = _slice(rx_rows, ry_rows, subset)
             return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
-    else:
-        def score(subset):
-            rx, rhos = _slice(rx_rows, ry_rows, subset)
-            cache = triangulate(rx)
-            return [conditional_uuc(cache, rho).omega_sq for rho in rhos]
 
-    windows, skipped = _scan(score, enumerate_subsets(n, k), m)
+    if method == "cond-uncorrelation":
+        windows, skipped = _scan_batched(model.rx, model.ry, k)
+    else:
+        windows, skipped = _scan(score, enumerate_subsets(n, k), m)
     if skipped == total:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
     return [
-        _finalise(model, rx_rows, ry_rows[t], tables, windows[t], t, skipped, total - skipped)
+        _finalise(model, method, rx_rows, ry_rows[t], tables, windows[t], t,
+                  skipped, total - skipped)
         for t in range(m)
     ]
 
 
-def _finalise(model, rx_rows, ry_row, tables, window, t, skipped, evaluated) -> SelectionResult:
+def _finalise(model, method, rx_rows, ry_row, tables, window, t, skipped,
+              evaluated) -> SelectionResult:
     score, subset = window.winner()
     sigma_y = model.resp_sigma[t]
     sigma_y_sq = sigma_y * sigma_y
@@ -263,9 +363,13 @@ def _finalise(model, rx_rows, ry_row, tables, window, t, skipped, evaluated) -> 
                                hat.assemble_xty(tables, subset, t))
         coeff = RegressionCoefficients(beta0=beta[0], betas=tuple(beta[1:]))
     else:
+        rx, (rho,) = _slice(rx_rows, [ry_row], subset)
+        if method == "cond-uncorrelation":
+            # the scalar kernels score the winner, so the reported figures
+            # do not depend on the batched scan's summation order
+            score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
         omega = score
         mse = sigma_y_sq * omega
-        rx, (rho,) = _slice(rx_rows, [ry_row], subset)
         coeff = coefficients_from_correlations(
             rx, rho, sigma_y,
             [model.pred_sigma[j] for j in subset],

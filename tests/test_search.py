@@ -6,14 +6,18 @@ import math
 import numpy as np
 import pytest
 from conftest import all_cond_scores, make_instance
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bestsubset.search as search
 from bestsubset import (
+    InternalNumericError,
     InvalidSparsityError,
     LimitExceededError,
     NoValidSubsetError,
     ObservationMatrix,
     UnknownMethodError,
+    build_correlation_model,
     gram_products,
     pearson,
     select_best,
@@ -213,26 +217,30 @@ def test_unknown_method():
 
 
 def test_factorisation_amortised_once_per_subset(monkeypatch):
-    """m responders share one predictor factorisation per subset."""
-    calls = {"triangulate": 0, "tail": 0}
+    """The batched scan shares each prefix's factor with all of its
+    extensions; the scalar kernels only re-score the winners, at most once
+    per responder."""
+    blocks, rhos = [], []
     real_tri = search.triangulate
     real_tail = search.conditional_uuc
 
     def counting_tri(rx):
-        calls["triangulate"] += 1
+        blocks.append([row[:] for row in rx])
         return real_tri(rx)
 
     def counting_tail(cache, rho):
-        calls["tail"] += 1
+        rhos.append(list(rho))
         return real_tail(cache, rho)
 
     monkeypatch.setattr(search, "triangulate", counting_tri)
     monkeypatch.setattr(search, "conditional_uuc", counting_tail)
-    data, pred, resp, _ = make_instance(101, d=25, n=6, m=3)
-    select_best(data, pred, resp, 2, method="cond-uncorrelation")
-    total = math.comb(6, 2)
-    assert calls["triangulate"] == total
-    assert calls["tail"] == total * 3
+    data, pred, resp, model = make_instance(101, d=25, n=6, m=3)
+    res = select_best(data, pred, resp, 2, method="cond-uncorrelation")
+    assert 1 <= len(blocks) <= 3
+    assert 1 <= len(rhos) <= 3
+    winners = [slice_correlations(model, r.subset, r.responder_pos) for r in res]
+    assert all(b in [rx for rx, _ in winners] for b in blocks)
+    assert all(r in [rho for _, rho in winners] for r in rhos)
 
 
 def _collinear_shifted_instance(seed):
@@ -264,3 +272,121 @@ def test_hat_coefficients_solve_the_scanned_normal_equations(seed):
                                    assemble_xty(tables, r.subset, t))
             assert r.coefficients.beta0 == beta[0]
             assert r.coefficients.betas == tuple(beta[1:])
+
+
+def _negative_omega_instance(seed=57):
+    """Two near-collinear predictor pairs and responders fitted almost
+    exactly on the first pair: at seed 57 the float omega^2 of subset
+    (0, 1) lands below 0 by more than EPS_NUM."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(8, 40))
+    n = int(rng.integers(3, 7))
+    x = rng.standard_normal((d, n))
+    x[:, 1] = x[:, 0] + 10.0 ** rng.uniform(-7, -3) * rng.standard_normal(d)
+    x[:, 3] = (x[:, 2] + rng.uniform(-2, 2) * x[:, 1]
+               + 10.0 ** rng.uniform(-7, -3) * rng.standard_normal(d))
+    y = x[:, :2] @ rng.standard_normal((2, 2)) + 10.0 ** rng.uniform(-14, -6) * rng.standard_normal((d, 2))
+    table = np.column_stack([x, y]) * 10.0 ** rng.uniform(-6, 6, n + 2)
+    k = int(rng.integers(2, 5))
+    return ObservationMatrix(table), list(range(n)), [n, n + 1], k
+
+
+def test_omega_beyond_tolerance_aborts_the_scan():
+    """A leaf omega^2 outside [0, 1] by more than EPS_NUM goes through the
+    one range check and aborts, naming the scalar kernel's check."""
+    data, pred, resp, k = _negative_omega_instance()
+    with pytest.raises(InternalNumericError, match=r"^conditional_uuc = -2\.60217"):
+        select_best(data, pred, resp, k, method="cond-uncorrelation")
+
+
+def test_range_check_runs_before_the_argmin():
+    """A leaf omega^2 a rounding miss below 0 lands on 0.0 before the
+    argmin, so it ties with an exact 0.0 and the smaller subset wins."""
+    rx = np.eye(2)
+    ry = np.array([[1.0, 1.0 + 2.5e-10]])  # omega^2 = 0.0 and about -5e-10
+    windows, skipped = search._scan_batched(rx, ry, 1)
+    assert windows[0].winner() == (0.0, (0,))
+    assert skipped == 0
+
+
+def test_perfect_fit_reports_zero_and_lexicographic_winner():
+    """y = x1 + x2 exactly, with r12 = -0.5 and rho = 0.5 exact in float.
+    Column 3 copies column 1, so (1, 2) and (2, 3) are both perfect fits
+    and tie at 0.0; (1, 3) is singular."""
+    x0 = [0, 1, -1, 2, 0, -2]
+    x1 = [-2, 0, 0, 0, 1, 1]
+    x2 = [1, 0, 0, 0, -2, 1]
+    y = [a + b for a, b in zip(x1, x2)]
+    data = ObservationMatrix(np.array([x0, x1, x2, x1, y], dtype=float).T)
+    for method in METHODS:
+        (res,) = select_best(data, range(4), [4], 2, method=method)
+        assert res.subset == (1, 2)
+        assert res.omega_sq_cond == 0.0
+        assert res.skipped_singular == 1
+
+
+def _reference_scan(model, k):
+    """Winners and skip count from the scalar kernels, subset by subset."""
+    scores = all_cond_scores(model, k)
+    windows = [ArgminWindow() for _ in range(model.m)]
+    for subset, row in scores.items():
+        for t, score in enumerate(row):
+            windows[t].add(score, subset)
+    return [w.winner() for w in windows], math.comb(model.n, k) - len(scores)
+
+
+@st.composite
+def _scan_instances(draw):
+    """(data, pred, resp, k): noise, duplicated columns, or the
+    near-collinear shifted fuzz instance, with k drawn, 1, n or d-1."""
+    kind = draw(st.sampled_from(("noise", "duplicate", "collinear")))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "collinear":
+        data, pred, resp, k = _collinear_shifted_instance(seed)
+        n, d = len(pred), data.d
+    else:
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        d = int(rng.integers(3, 12))
+        x = rng.standard_normal((d, n + m))
+        if kind == "duplicate":
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.choice(n, size=2, replace=False)
+                x[:, j] = x[:, i]
+        data = ObservationMatrix(x)
+        pred, resp = list(range(n)), list(range(n, n + m))
+        k = int(rng.integers(1, n + 1))
+    k = {"drawn": k, "1": 1, "n": n, "d-1": d - 1}[
+        draw(st.sampled_from(("drawn", "1", "n", "d-1")))]
+    return data, pred, resp, min(k, n, d - 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scan_instances(), st.sampled_from((3, search.BLOCK)))
+@example(_collinear_shifted_instance(0), 3)
+@example(_collinear_shifted_instance(8), 3)
+@example(_collinear_shifted_instance(12), search.BLOCK)
+def test_batched_scan_matches_scalar_reference(instance, block):
+    """The batched scan picks the winners, skips and counts of scoring
+    every subset with the scalar kernels; its own omega^2 agree to 1e-12,
+    and the reported ones are the scalar kernels' exactly."""
+    data, pred, resp, k = instance
+    model = build_correlation_model(data, pred, resp)
+    try:
+        ref, skipped = _reference_scan(model, k)
+    except (InternalNumericError, NoValidSubsetError) as err:
+        with pytest.raises(type(err)):
+            select_best(data, pred, resp, k)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "BLOCK", block)
+        windows, batched_skipped = search._scan_batched(model.rx, model.ry, k)
+        res = select_best(data, pred, resp, k)
+    assert batched_skipped == skipped
+    for (score, subset), window, r in zip(ref, windows, res):
+        got_score, got_subset = window.winner()
+        assert got_subset == subset == r.subset
+        assert abs(got_score - score) <= 1e-12
+        assert r.omega_sq_cond == score
+        assert r.skipped_singular == skipped
+        assert r.subsets_evaluated == math.comb(model.n, k) - skipped
