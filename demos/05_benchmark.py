@@ -12,7 +12,7 @@ from bestsubset.cli import run_bench
 
 # A moderate instance keeps this demo quick; bump d to 1000 and m to 10
 # to reproduce the desk-scale configuration used by the release gate.
-report = run_bench(d=400, n=12, k=3, m=5, seed=0, limit=0, threads=1)
+report = run_bench(d=400, n=12, k=3, m=5, seed=0, limit=0)
 
 print(f"instance: d={report['d']} n={report['n']} k={report['k']} "
       f"m={report['m']}  ({report['subsets']} subsets per responder)")

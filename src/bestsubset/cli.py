@@ -12,15 +12,16 @@ Four subcommands:
 
 Reports are emitted on stdout as JSON (versioned schema), CSV or an
 aligned text table. Given the same inputs and seed the emitted report is
-byte-identical across runs and thread counts, except for wall-time
-fields. Every documented error class maps to its own exit code so shell
-pipelines can tell failure modes apart; see EXIT_CODES.
+byte-identical across runs, except for wall-time fields. Every
+documented error class maps to its own exit code so shell pipelines can
+tell failure modes apart; see EXIT_CODES.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -45,7 +46,7 @@ from .search import METHODS, select_best
 from .stats import ObservationMatrix, column_stats, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Relative tolerance for cross-method MSE agreement in verify, plus an
 # absolute floor in units of responder variance so that lossless fits
@@ -204,9 +205,16 @@ def _record_fields():
             "beta0", "betas", "skipped_singular", "subsets_evaluated"]
 
 
+def _csv_text(rows) -> str:
+    """Rows as RFC-4180 CSV, quoting only cells that need it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def render_select_csv(report) -> str:
     fields = _record_fields()
-    lines = [",".join(fields)]
+    rows = [fields]
     for rec in report["records"]:
         row = []
         for f in fields:
@@ -214,14 +222,14 @@ def render_select_csv(report) -> str:
             if f in ("subset", "betas"):
                 v = ";".join(str(x) for x in v)
             row.append(str(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def render_select_text(report) -> str:
     out = [
         f"method={report['method']} k={report['k']} d={report['d']} "
-        f"n={report['n']} m={report['m']} threads={report['threads']}",
+        f"n={report['n']} m={report['m']}",
     ]
     for rec in report["records"]:
         out.append(
@@ -253,11 +261,10 @@ def _load_instance(args):
     return data, None, list(range(args.n)), list(range(args.n, args.n + args.m))
 
 
-def _selection_records(data, names, pred, resp, ks, method, threads, limit):
+def _selection_records(data, names, pred, resp, ks, method, limit):
     records = []
     for k in ks:
-        for r in select_best(data, pred, resp, k, method=method,
-                             workers=threads, pair_limit=limit):
+        for r in select_best(data, pred, resp, k, method=method, pair_limit=limit):
             records.append({
                 "k": k,
                 "responder": _col_label(names, r.responder_column),
@@ -277,8 +284,7 @@ def cmd_select(args) -> int:
     data, names, pred, resp = _load_instance(args)
     ks = list(range(1, args.k + 1)) if args.sweep else [args.k]
     t0 = time.perf_counter()
-    records = _selection_records(data, names, pred, resp, ks, args.method,
-                                 args.threads, args.limit)
+    records = _selection_records(data, names, pred, resp, ks, args.method, args.limit)
     wall = time.perf_counter() - t0
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -289,7 +295,6 @@ def cmd_select(args) -> int:
         "d": data.d,
         "n": len(pred),
         "m": len(resp),
-        "threads": args.threads,
         "seed": args.seed,
         "input": args.input,
         "records": records,
@@ -304,15 +309,14 @@ def cmd_select(args) -> int:
     return EXIT_CODES["ok"]
 
 
-def run_verify(data, names, pred, resp, k, threads, limit):
+def run_verify(data, names, pred, resp, k, limit):
     """Select with every method and compare winners and MSEs.
 
     Returns (report, ok). MSEs must agree within VERIFY_REL relative plus
     a VERIFY_FLOOR * sigma_y^2 absolute floor; winners must be identical.
     """
     by_method = {
-        method: select_best(data, pred, resp, k, method=method,
-                            workers=threads, pair_limit=limit)
+        method: select_best(data, pred, resp, k, method=method, pair_limit=limit)
         for method in METHODS
     }
     checks = []
@@ -350,15 +354,16 @@ def run_verify(data, names, pred, resp, k, threads, limit):
 
 def cmd_verify(args) -> int:
     data, names, pred, resp = _load_instance(args)
-    report, ok = run_verify(data, names, pred, resp, args.k, args.threads, args.limit)
+    report, ok = run_verify(data, names, pred, resp, args.k, args.limit)
     if args.format == "json":
         sys.stdout.write(render_json(report))
     elif args.format == "csv":
-        lines = ["responder,subsets_agree,mse_agree,mse_spread"]
+        rows = [["responder", "subsets_agree", "mse_agree", "mse_spread"]]
         for c in report["checks"]:
-            lines.append(f"{c['responder']},{c['subsets_agree']},{c['mse_agree']},{c['mse_spread']}")
-        lines.append(f"pass,{ok},,")
-        sys.stdout.write("\n".join(lines) + "\n")
+            rows.append([c["responder"], c["subsets_agree"], c["mse_agree"],
+                         c["mse_spread"]])
+        rows.append(["pass", ok, "", ""])
+        sys.stdout.write(_csv_text(rows))
     else:
         for c in report["checks"]:
             status = "ok" if c["subsets_agree"] and c["mse_agree"] else "MISMATCH"
@@ -370,9 +375,8 @@ def cmd_verify(args) -> int:
     return EXIT_CODES["ok"] if ok else EXIT_CODES["verification"]
 
 
-def run_bench(d, n, k, m, seed, limit, threads=1, methods=METHODS):
-    """Time full enumerations per method on one synthetic instance;
-    ``threads`` is accepted and ignored, like ``select_best``'s ``workers``."""
+def run_bench(d, n, k, m, seed, limit, methods=METHODS):
+    """Time full enumerations per method on one synthetic instance."""
     data = synthetic_observations(d, n + m, seed=seed)
     pred = list(range(n))
     resp = list(range(n, n + m))
@@ -381,8 +385,7 @@ def run_bench(d, n, k, m, seed, limit, threads=1, methods=METHODS):
     winners = []
     for method in methods:
         t0 = time.perf_counter()
-        results = select_best(data, pred, resp, k, method=method,
-                              workers=threads, pair_limit=limit)
+        results = select_best(data, pred, resp, k, method=method, pair_limit=limit)
         wall = time.perf_counter() - t0
         timings.append({
             "method": method,
@@ -412,8 +415,7 @@ def run_bench(d, n, k, m, seed, limit, threads=1, methods=METHODS):
 
 
 def cmd_bench(args) -> int:
-    report = run_bench(args.d, args.n, args.k, args.m, args.seed, args.limit,
-                       threads=args.threads)
+    report = run_bench(args.d, args.n, args.k, args.m, args.seed, args.limit)
     if args.format == "json":
         sys.stdout.write(render_json(report))
     elif args.format == "csv":
@@ -463,8 +465,6 @@ def _add_common(p, method=True):
     if method:
         p.add_argument("--method", choices=METHODS, default="cond-uncorrelation")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; the scan is single-threaded")
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed for synthetic data")
     p.add_argument("--limit", type=int, default=DEFAULT_PAIR_LIMIT,
@@ -497,8 +497,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; the scan is single-threaded")
     p.add_argument("--limit", type=int, default=DEFAULT_PAIR_LIMIT)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.set_defaults(func=cmd_bench)

@@ -203,7 +203,7 @@ def _scan_batched(rx, ry, k):
 
     def extend(subsets, u, v, dinv, omega):
         j = subsets.shape[1]
-        last = subsets[:, -1]
+        last = subsets[:, -1] if j else np.full(len(subsets), -1)
         # children c of S run from max(S) + 1 to the largest column that
         # still leaves room for the k - j - 1 columns after it
         counts = n - k + j - last
@@ -235,14 +235,9 @@ def _scan_batched(rx, ry, k):
                    np.column_stack((dinv[p], 1.0 / pivot)),
                    child_omega)
 
-    for lo in range(0, n - k + 1, BLOCK):
-        roots = np.arange(lo, min(lo + BLOCK, n - k + 1))
-        omega = 1.0 - rho[roots] * rho[roots]
-        if k == 1:
-            reduce(roots[:, None], omega)
-        else:
-            extend(roots[:, None], rx[roots, None, :], rho[roots, None, :],
-                   np.ones((len(roots), 1)), omega)
+    # the walk starts from the empty subset: no factor yet, and omega 1
+    extend(np.empty((1, 0), dtype=np.intp), np.empty((1, 0, n)),
+           np.empty((1, 0, m)), np.empty((1, 0)), np.ones((1, m)))
     return windows, math.comb(n, k) - evaluated
 
 
@@ -288,8 +283,11 @@ def select_best(
         each prefix's factor with all of its extensions, and re-scores
         only the winners with the scalar kernels; the other three score
         every subset on its own in pure Python
-    workers : accepted and ignored; threads never sped up the scan
-        (measured 0.53-1.00x with 2 on the pure-Python scan)
+    workers : accepted and ignored; the scan runs on one thread (a
+        2-thread pool measured 0.53-1.00x on the pure-Python scan). Kept
+        only for the ``search.workers2_speedup`` probe in
+        ``perfbench/layers.py``, and deleted in the change after the one
+        that retires that probe
     pair_limit : cap on scored (subset, responder) pairs, None or 0 for
         unlimited
 

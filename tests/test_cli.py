@@ -1,5 +1,6 @@
 """CSV ingestion, report rendering and command line behaviour."""
 
+import csv
 import json
 
 import numpy as np
@@ -151,8 +152,9 @@ def test_select_json_finds_planted_subset(tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["command"] == "select"
+    assert "threads" not in report
     rec = report["records"][0]
     assert rec["subset"] == ["a", "c"]
     assert rec["responder"] == "y"
@@ -206,22 +208,20 @@ def strip_wall_time(text):
     return "\n".join(l for l in text.splitlines() if "wall_time_s" not in l)
 
 
-def test_select_output_deterministic_across_runs_and_threads(tmp_path, capsys):
+def test_select_output_deterministic_across_runs(tmp_path, capsys):
     path = planted_csv(tmp_path, seed=11)
     base = ["select", "--input", path, "--predictors", "0-4",
             "--responders", "5", "--k", "2"]
     outs = []
-    for extra in ([], [], ["--threads", "3"], ["--method", "algorithm1"]):
+    for extra in ([], [], ["--method", "algorithm1"]):
         code, out = run_cli(capsys, base + extra)
         assert code == 0
         outs.append(out)
     # same invocation twice: byte-identical apart from the wall clock
     assert strip_wall_time(outs[0]) == strip_wall_time(outs[1])
-    # more threads: identical records (only the threads field may differ)
-    assert json.loads(outs[0])["records"] == json.loads(outs[2])["records"]
     # a different scoring route still lands on the same subset
     a = json.loads(outs[0])
-    b = json.loads(outs[3])
+    b = json.loads(outs[2])
     assert a["records"][0]["subset"] == b["records"][0]["subset"]
 
 
@@ -245,8 +245,8 @@ def test_verify_passes_on_clean_instance(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    def fake(data, names, pred, resp, k, threads, limit):
-        return {"schema_version": 1, "command": "verify", "checks": [],
+    def fake(data, names, pred, resp, k, limit):
+        return {"schema_version": 2, "command": "verify", "checks": [],
                 "pass": False, "k": k, "d": data.d, "n": len(pred),
                 "m": len(resp), "methods": list(cli.METHODS)}, False
     monkeypatch.setattr(cli, "run_verify", fake)
@@ -254,6 +254,32 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         "verify", "--d", "20", "--n", "4", "--m", "1", "--k", "2",
     ])
     assert code == 10
+
+
+def test_csv_reports_quote_labels_with_commas(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    text = '"a,1",b,c,y\n' + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in rng.normal(size=(20, 4)))
+    path = write_csv(tmp_path, text)
+    for command, column in (("select", 1), ("verify", 0)):
+        code, out = run_cli(capsys, [
+            command, "--input", path, "--predictors", "1-3",
+            "--responders", "0", "--k", "1", "--format", "csv",
+        ])
+        assert code == 0
+        table = list(csv.reader(out.splitlines()))
+        assert {len(row) for row in table} == {len(table[0])}
+        assert table[1][column] == "a,1"
+
+
+@pytest.mark.parametrize("command", ["select", "verify", "bench"])
+def test_threads_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--d", "20", "--n", "4", "--m", "1", "--k", "2",
+                  "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_bench_smoke(capsys):
