@@ -26,6 +26,9 @@ import json
 import math
 import sys
 import time
+import warnings
+
+import numpy as np
 
 from .errors import (
     ArityMismatchError,
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .opcount import COUNT_METHODS, count_table, format_count_table
 from .search import METHODS, select_best
-from .stats import ObservationMatrix, column_stats, synthetic_observations
+from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
 
 SCHEMA_VERSION = 2
@@ -99,36 +102,91 @@ def exit_code_for(exc: BaseException) -> int:
 def ingest_csv(path: str):
     """Read an RFC-4180-style CSV into an ObservationMatrix.
 
-    If any cell of the first row fails to parse as a number the row is
-    taken as a header supplying column names; otherwise all rows are
-    data. Returns (matrix, names) with names None when there was no
-    header. Row/column positions in errors are 1-based and count the
-    header row.
+    Each cell is a number in Python ``float`` syntax, surrounding
+    whitespace allowed; fully blank lines are ignored. The first
+    non-blank record is a header supplying column names if any of its
+    cells fails to parse as a number; otherwise every record is data.
+    Returns (matrix, names) with names None when there was no header.
+    Row/column positions in errors are 1-based, count the header row and
+    skip blank lines.
+
+    The data rows go through numpy's C parser (``np.loadtxt``), streamed
+    from the file. Every cell it parses, ``float`` parses to the same
+    double, so a file it accepts gets the reference parser's values. It
+    hands the whole file to the per-cell reference parser,
+    :func:`_ingest_reference`, whenever it cannot vouch for the result:
+    the first record is quoted (and so may span lines), the file holds
+    fewer than 2 data rows or rows of the wrong width, numpy refuses a
+    cell (``1_000``, non-ASCII digits, quotes, empty cells, ragged rows),
+    or a value is non-finite. The reference parser then produces the
+    result, or the error with its message, position and exit code,
+    exactly as it would alone. One file reads only by the fast path: a
+    data cell longer than ``csv.field_size_limit()`` characters, which
+    ``csv.reader`` refuses.
     """
+    fast = _ingest_fast(path)
+    return fast if fast is not None else _ingest_reference(path)
+
+
+def _parse_cell(cell, rownum, colnum):
+    """One cell as a finite float, or the ParseError that locates it."""
+    text = cell.strip()
+    if not text:
+        raise ParseError("empty cell", row=rownum, column=colnum)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"cannot parse {cell!r} as a number",
+                         row=rownum, column=colnum) from None
+    if not math.isfinite(value):
+        raise NonFiniteValueError(f"non-finite value {cell!r}",
+                                  row=rownum, column=colnum)
+    return value
+
+
+def _ingest_fast(path: str):
+    """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over."""
+    try:
+        with open(path, newline="") as fh:
+            line = fh.readline()
+            while line and not line.rstrip("\r\n"):
+                line = fh.readline()
+            if not line or '"' in line:
+                return None
+            first = next(csv.reader([line]))
+            try:
+                for j, cell in enumerate(first):
+                    _parse_cell(cell, 1, j + 1)
+                names = None
+                fh.seek(0)  # the first record is data: numpy reads it too
+            except NonFiniteValueError:
+                return None
+            except ParseError:
+                names = [c.strip() for c in first]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                                    comments=None, ndmin=2)
+    except (ValueError, csv.Error):  # a cell numpy refuses, undecodable text
+        return None
+    if (values.shape[0] < 2 or values.shape[1] != len(first)
+            or not np.isfinite(values).all()):
+        return None
+    return ObservationMatrix(values), names
+
+
+def _ingest_reference(path: str):
+    """``ingest_csv`` one cell at a time through ``float``: the reference."""
     with open(path, newline="") as fh:
         raw = list(csv.reader(fh))
     raw = [row for row in raw if row]  # ignore fully blank lines
     if not raw:
         raise ParseError(f"{path}: file contains no data")
 
-    def try_parse(cell, rownum, colnum):
-        text = cell.strip()
-        if not text:
-            raise ParseError("empty cell", row=rownum, column=colnum)
-        try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"cannot parse {cell!r} as a number",
-                             row=rownum, column=colnum) from None
-        if not math.isfinite(value):
-            raise NonFiniteValueError(f"non-finite value {cell!r}",
-                                      row=rownum, column=colnum)
-        return value
-
     names = None
     start = 0
     try:
-        first = [try_parse(c, 1, j + 1) for j, c in enumerate(raw[0])]
+        first = [_parse_cell(c, 1, j + 1) for j, c in enumerate(raw[0])]
         rows = [first]
     except NonFiniteValueError:
         raise
@@ -143,7 +201,7 @@ def ingest_csv(path: str):
             raise ArityMismatchError(
                 f"expected {width} cells, found {len(row)}", row=i + 1)
         if i > start or not rows:
-            rows.append([try_parse(c, i + 1, j + 1) for j, c in enumerate(row)])
+            rows.append([_parse_cell(c, i + 1, j + 1) for j, c in enumerate(row)])
     if names is not None and len(names) != width:
         raise ArityMismatchError(
             f"header has {len(names)} names but rows have {width} cells", row=1)
@@ -206,10 +264,21 @@ def _record_fields():
 
 
 def _csv_text(rows) -> str:
-    """Rows as RFC-4180 CSV, quoting only cells that need it."""
+    """Rows as RFC-4180 CSV, quoting only cells that need it.
+
+    The writer quotes a cell only for the characters of its own line
+    terminator, so rows are written with CRLF (a cell holding a bare CR
+    is quoted too) and each row's terminator is then cut to LF.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+    return "".join(lines)
 
 
 def render_select_csv(report) -> str:
@@ -322,7 +391,7 @@ def run_verify(data, names, pred, resp, k, limit):
     checks = []
     ok = True
     for t in range(len(resp)):
-        sigma_y = column_stats(data.column(resp[t])).sigma
+        sigma_y = by_method[METHODS[0]][t].responder_sigma
         floor = VERIFY_FLOOR * sigma_y * sigma_y
         subsets = {m: by_method[m][t].subset_columns for m in METHODS}
         mses = {m: by_method[m][t].mse for m in METHODS}

@@ -251,6 +251,7 @@ class SelectionResult:
 
     responder_pos: int
     responder_column: int
+    responder_sigma: float
     subset: tuple[int, ...]
     subset_columns: tuple[int, ...]
     omega_sq_cond: float
@@ -377,6 +378,7 @@ def _finalise(model, method, rx_rows, ry_row, tables, window, t, skipped,
     return SelectionResult(
         responder_pos=t,
         responder_column=model.responders[t],
+        responder_sigma=sigma_y,
         subset=subset,
         subset_columns=tuple(model.predictors[j] for j in subset),
         omega_sq_cond=omega,

@@ -1,10 +1,14 @@
 """CSV ingestion, report rendering and command line behaviour."""
 
 import csv
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bestsubset import cli
 from bestsubset.errors import (
@@ -102,6 +106,117 @@ def test_ingest_too_few_rows(tmp_path):
         cli.ingest_csv(path)
     with pytest.raises(ParseError):
         cli.ingest_csv(write_csv(tmp_path, "", name="empty.csv"))
+
+
+def _ingest_outcome(reader, path):
+    """What a parser makes of a file: its table and names, or its error."""
+    try:
+        data, names = reader(path)
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.row, exc.column, cli.exit_code_for(exc))
+    return (data.values.shape, data.values.tobytes(), names)
+
+
+_ODD_CELLS = ("1_000", "\u0661", "nan", "inf", "1e400", "", '"1"', '"1,5"', "#1")
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small CSV texts: header or none, mixed line endings, odd cells."""
+    width = draw(st.integers(1, 3))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-99, 99).map(str),
+    )
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    rows = [[draw(pad) + draw(number) + draw(pad) for _ in range(width)]
+            for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.booleans()):
+        names = st.sampled_from(["a", " b ", "x1", '"q,1"', "2"])
+        rows.insert(0, [draw(names) for _ in range(width)])
+    lines = [",".join(row) for row in rows]
+    for kind in draw(st.lists(st.sampled_from(
+            ["cell", "trailing comma", "ragged", "whitespace line", "blank"]),
+            max_size=2)):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "cell":
+            cells = lines[i].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+            lines[i] = ",".join(cells)
+        elif kind == "trailing comma":
+            lines[i] += ","
+        elif kind == "ragged":
+            lines[i] = lines[i].rpartition(",")[0] if "," in lines[i] else lines[i] + ",1"
+        elif kind == "whitespace line":
+            lines.insert(i, "  ")
+        else:
+            lines.insert(i, "")
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return "".join(line + eol for line in lines)
+
+
+@pytest.fixture(scope="module")
+def csv_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ingest") / "case.csv"
+
+    def write(text):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return str(path)
+    return write
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_csv_texts())
+@example("a,b\n1_000,2\n3,4\n")
+@example("a,b\n\u0661,2\n3,4\n")
+@example("a,b\n1,2\nnan,4\n")
+@example("a,b\n1,2\n3,inf\n")
+@example("a,b\n1,2\n1e400,4\n")
+@example("a,b\n1,\n3,4\n")
+@example('a,b\n"1",2\n3,4\n')
+@example('a,b\n"1,5",2\n3,4\n')
+@example("a,b\n#1,2\n3,4\n")
+@example("a,b\n#1,2\n3,4\n5,6\n")
+@example("1,2#3\n4,5\n6,7\n")
+@example('"a\n1\n2\n')
+@example("a,b\n1,2,\n3,4,\n")
+@example("a,b\n1,2\n3\n")
+@example("a,b\n1,2\n  \n3,4\n")
+@example("1\n  \n3\n")
+@example("\r\n1,2\r\n\r\n 3 ,4\r\n")
+@example("a,b\r1,2\r\r3,4\r")
+@example("a,b,c\n1,2\n3,4\n")
+@example("1,2\n3,4\n")
+@example("\n\n")
+def test_ingest_fast_path_matches_reference_parser(csv_file, text):
+    path = csv_file(text)
+    expected = _ingest_outcome(cli._ingest_reference, path)
+    if cli._ingest_fast(path) is not None:  # None hands over
+        assert _ingest_outcome(cli._ingest_fast, path) == expected
+    assert _ingest_outcome(cli.ingest_csv, path) == expected
+
+
+def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path):
+    rng = np.random.default_rng(7)
+    table = (rng.standard_normal((2000, 302)) * 10.0 ** rng.uniform(-1, 2, 302)
+             + rng.uniform(-1e3, 1e3, 302))
+    lines = [",".join([f"x{j}" for j in range(300)] + ["y0", "y1"])]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        data, names = cli.ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref, ref_names = cli._ingest_reference(path)
+    assert data.values.tobytes() == ref.values.tobytes() == table.tobytes()
+    assert names == ref_names == [f"x{j}" for j in range(300)] + ["y0", "y1"]
+    assert peak < 4 * data.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +373,20 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_csv_reports_quote_labels_with_commas(tmp_path, capsys):
     rng = np.random.default_rng(4)
-    text = '"a,1",b,c,y\n' + "".join(
+    body = "".join(
         ",".join(repr(float(v)) for v in row) + "\n"
         for row in rng.normal(size=(20, 4)))
-    path = write_csv(tmp_path, text)
-    for command, column in (("select", 1), ("verify", 0)):
-        code, out = run_cli(capsys, [
-            command, "--input", path, "--predictors", "1-3",
-            "--responders", "0", "--k", "1", "--format", "csv",
-        ])
-        assert code == 0
-        table = list(csv.reader(out.splitlines()))
-        assert {len(row) for row in table} == {len(table[0])}
-        assert table[1][column] == "a,1"
+    for label in ("a,1", "a\rb"):
+        path = write_csv(tmp_path, f'"{label}",b,c,y\n' + body)
+        for command, column in (("select", 1), ("verify", 0)):
+            code, out = run_cli(capsys, [
+                command, "--input", path, "--predictors", "1-3",
+                "--responders", "0", "--k", "1", "--format", "csv",
+            ])
+            assert code == 0
+            table = list(csv.reader(io.StringIO(out, newline="")))
+            assert {len(row) for row in table} == {len(table[0])}
+            assert table[1][column] == label
 
 
 @pytest.mark.parametrize("command", ["select", "verify", "bench"])
