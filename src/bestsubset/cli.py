@@ -44,7 +44,7 @@ from .errors import (
     VerificationFailure,
     ZeroVarianceColumn,
 )
-from .opcount import COUNT_METHODS, count_table, format_count_table
+from .opcount import COUNT_METHODS, count_table, format_count_table  # noqa: F401
 from .search import METHODS, select_best
 from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
@@ -110,19 +110,19 @@ def ingest_csv(path: str):
     Row/column positions in errors are 1-based, count the header row and
     skip blank lines.
 
-    The data rows go through numpy's C parser (``np.loadtxt``), streamed
+    The first record is read by ``csv.reader``, as the reference reads
+    it, and the data rows by numpy's C parser (``np.loadtxt``), streamed
     from the file. Every cell it parses, ``float`` parses to the same
     double, so a file it accepts gets the reference parser's values. It
     hands the whole file to the per-cell reference parser,
     :func:`_ingest_reference`, whenever it cannot vouch for the result:
-    the first record is quoted (and so may span lines), the file holds
-    fewer than 2 data rows or rows of the wrong width, numpy refuses a
-    cell (``1_000``, non-ASCII digits, quotes, empty cells, ragged rows),
-    or a value is non-finite. The reference parser then produces the
-    result, or the error with its message, position and exit code,
-    exactly as it would alone. One file reads only by the fast path: a
-    data cell longer than ``csv.field_size_limit()`` characters, which
-    ``csv.reader`` refuses.
+    the file holds fewer than 2 data rows or rows of the wrong width,
+    numpy refuses a cell (``1_000``, non-ASCII digits, quotes, empty
+    cells, ragged rows), or a value is non-finite. The reference parser
+    then produces the result, or the error with its message, position and
+    exit code, exactly as it would alone. One file reads only by the fast
+    path: a data cell longer than ``csv.field_size_limit()`` characters,
+    which ``csv.reader`` refuses (the reference raises ParseError there).
     """
     fast = _ingest_fast(path)
     return fast if fast is not None else _ingest_reference(path)
@@ -148,12 +148,10 @@ def _ingest_fast(path: str):
     """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over."""
     try:
         with open(path, newline="") as fh:
-            line = fh.readline()
-            while line and not line.rstrip("\r\n"):
-                line = fh.readline()
-            if not line or '"' in line:
+            # the reference's first record; numpy reads on from the handle
+            first = next(filter(None, csv.reader(fh)), None)
+            if first is None:
                 return None
-            first = next(csv.reader([line]))
             try:
                 for j, cell in enumerate(first):
                     _parse_cell(cell, 1, j + 1)
@@ -177,9 +175,13 @@ def _ingest_fast(path: str):
 
 def _ingest_reference(path: str):
     """``ingest_csv`` one cell at a time through ``float``: the reference."""
+    raw = []
     with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
-    raw = [row for row in raw if row]  # ignore fully blank lines
+        try:
+            for row in filter(None, csv.reader(fh)):  # skip fully blank lines
+                raw.append(row)
+        except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+            raise ParseError(f"{path}: {exc}", row=len(raw) + 1) from None
     if not raw:
         raise ParseError(f"{path}: file contains no data")
 
@@ -463,10 +465,7 @@ def run_bench(d, n, k, m, seed, limit, methods=METHODS):
         })
         winners.append(tuple(r.subset_columns for r in results))
     per = {t["method"]: t["per_subset_s"] for t in timings}
-    counts = count_table(
-        methods=[c for c in COUNT_METHODS if not (c == "hat-single" and m != 1)],
-        ks=[k], d=d, ms=[m],
-    )
+    counts = count_table(ks=[k], d=d, ms=[m])
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",

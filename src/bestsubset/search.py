@@ -63,7 +63,8 @@ def slice_correlations(model: CorrelationModel, subset, responder: int):
 
     Entries come straight out of the precomputed model, so they are
     bit-identical to computing the correlations pairwise on raw columns.
-    Returns (rx, rho) as fresh nested lists safe to consume.
+    Returns (rx, rho) as fresh nested lists safe to consume, converting
+    only the k rows and the one responder row it reads.
     """
     rx_rows = {i: model.rx[i].tolist() for i in subset}
     rx, (rho,) = _slice(rx_rows, [model.ry[responder].tolist()], subset)
@@ -74,8 +75,9 @@ def _slice(rx_rows, ry_rows, subset):
     """Predictor block of one subset and every responder's vector on it.
 
     ``rx_rows``/``ry_rows`` hold rows of the model's ``rx``/``ry`` as
-    lists, converted by the caller once, never per subset. Every scorer and
-    the coefficient recovery read the model through here.
+    lists, converted never per subset: by algorithm1's scorer, the whole
+    model once per call; by :func:`slice_correlations`, the rows it reads.
+    Every scalar scorer and the coefficient recovery read the model here.
     """
     rx = [[rx_rows[i][j] for j in subset] for i in subset]
     return rx, [[row[j] for j in subset] for row in ry_rows]
@@ -95,17 +97,16 @@ class ArgminWindow:
     """Running argmin over (score, subset) with a small tie window.
 
     The final winner is the lexicographically smallest subset among all
-    candidates scoring within ``eps`` of the minimum. Rather than trust
+    candidates scoring within ``TIE_EPS`` of the minimum. Rather than trust
     pairwise epsilon comparisons (which are not associative), the window
     keeps every candidate that could still win: one is dropped only when
     some kept candidate has both a score no larger and a smaller subset.
     The winner therefore does not depend on the order of the stream.
     """
 
-    __slots__ = ("eps", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, eps: float = TIE_EPS):
-        self.eps = eps
+    def __init__(self):
         self.entries: list[tuple[float, tuple[int, ...]]] = []
 
     def add(self, score: float, subset: tuple[int, ...]) -> None:
@@ -114,8 +115,8 @@ class ArgminWindow:
             lo = min(s for s, _ in entries)
             if score < lo:
                 lo = score
-                self.entries = entries = [e for e in entries if e[0] <= lo + self.eps]
-            elif score > lo + self.eps:
+                self.entries = entries = [e for e in entries if e[0] <= lo + TIE_EPS]
+            elif score > lo + TIE_EPS:
                 return
         for s, t in entries:
             if s <= score and t < subset:
@@ -127,7 +128,7 @@ class ArgminWindow:
         if not self.entries:
             raise NoValidSubsetError("no subset survived the scan")
         lo = min(s for s, _ in self.entries)
-        best = min(t for s, t in self.entries if s <= lo + self.eps)
+        best = min(t for s, t in self.entries if s <= lo + TIE_EPS)
         score = next(s for s, t in self.entries if t == best)
         return score, best
 
@@ -315,7 +316,6 @@ def select_best(
         )
 
     model = build_correlation_model(data, pred, resp)
-    rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
     tables = None
     if method in ("hat-a", "hat-b"):
         tables = hat.gram_products(data, pred, resp)
@@ -330,6 +330,9 @@ def select_best(
             sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
             return [sse / d for sse in fit(xtx, xtys, sub_cols, ys, d)[0]]
     elif method == "algorithm1":
+        # per subset, lists slice faster than numpy; dropped on return
+        rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
+
         def score(subset):
             rx, rhos = _slice(rx_rows, ry_rows, subset)
             return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
@@ -342,15 +345,11 @@ def select_best(
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
-    return [
-        _finalise(model, method, rx_rows, ry_rows[t], tables, windows[t], t,
-                  skipped, total - skipped)
-        for t in range(m)
-    ]
+    return [_finalise(model, method, tables, windows[t], t, skipped, total - skipped)
+            for t in range(m)]
 
 
-def _finalise(model, method, rx_rows, ry_row, tables, window, t, skipped,
-              evaluated) -> SelectionResult:
+def _finalise(model, method, tables, window, t, skipped, evaluated) -> SelectionResult:
     score, subset = window.winner()
     sigma_y = model.resp_sigma[t]
     sigma_y_sq = sigma_y * sigma_y
@@ -362,7 +361,7 @@ def _finalise(model, method, rx_rows, ry_row, tables, window, t, skipped,
                                hat.assemble_xty(tables, subset, t))
         coeff = RegressionCoefficients(beta0=beta[0], betas=tuple(beta[1:]))
     else:
-        rx, (rho,) = _slice(rx_rows, [ry_row], subset)
+        rx, rho = slice_correlations(model, subset, t)
         if method == "cond-uncorrelation":
             # the scalar kernels score the winner, so the reported figures
             # do not depend on the batched scan's summation order

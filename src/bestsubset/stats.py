@@ -49,7 +49,7 @@ class ObservationMatrix:
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64, order="C")  # our own copy
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D table, got shape {arr.shape}")
         if arr.shape[0] < 2:
@@ -58,23 +58,18 @@ class ObservationMatrix:
             raise ValueError("need at least 1 variable (column)")
         if not np.isfinite(arr).all():
             raise ValueError("observation matrix contains NaN or infinite entries")
-        arr = arr.copy()
         arr.flags.writeable = False
         self.values = arr
         self.d = arr.shape[0]
         self.p = arr.shape[1]
-        self._column_lists: dict[int, list[float]] = {}
 
     def column(self, j: int) -> np.ndarray:
         return self.values[:, j]
 
     def column_list(self, j: int) -> list[float]:
-        """Column ``j`` as a cached list of Python floats (for scalar kernels)."""
-        got = self._column_lists.get(j)
-        if got is None:
-            got = [float(v) for v in self.values[:, j]]
-            self._column_lists[j] = got
-        return got
+        """Column ``j`` as a fresh list of floats, for the scalar kernels;
+        their callers convert what they read once per call, keeping none."""
+        return self.values[:, j].tolist()
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,9 @@ def _ingest_outcome(reader, path):
 
 _ODD_CELLS = ("1_000", "\u0661", "nan", "inf", "1e400", "", '"1"', '"1,5"', "#1")
 
+# a finite cell longer than csv.field_size_limit() (131072 characters)
+_LONG_CELL = "1." + "0" * 140000
+
 
 @st.composite
 def _csv_texts(draw):
@@ -191,6 +194,8 @@ def csv_file(tmp_path_factory):
 @example("a,b,c\n1,2\n3,4\n")
 @example("1,2\n3,4\n")
 @example("\n\n")
+@example(f"a,b,y\n{_LONG_CELL},2,3\n1_000,5,6\n")
+@example(f"{_LONG_CELL},2\n3,4\n5,6\n")
 def test_ingest_fast_path_matches_reference_parser(csv_file, text):
     path = csv_file(text)
     expected = _ingest_outcome(cli._ingest_reference, path)
@@ -199,11 +204,13 @@ def test_ingest_fast_path_matches_reference_parser(csv_file, text):
     assert _ingest_outcome(cli.ingest_csv, path) == expected
 
 
-def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path):
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote):
     rng = np.random.default_rng(7)
     table = (rng.standard_normal((2000, 302)) * 10.0 ** rng.uniform(-1, 2, 302)
              + rng.uniform(-1e3, 1e3, 302))
-    lines = [",".join([f"x{j}" for j in range(300)] + ["y0", "y1"])]
+    lines = [",".join(quote + name + quote
+                      for name in [f"x{j}" for j in range(300)] + ["y0", "y1"])]
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     del lines
@@ -445,6 +452,14 @@ def test_exit_code_parse(tmp_path, capsys):
     code = cli.main(["select", "--input", path, "--predictors", "0",
                      "--responders", "1", "--k", "1"])
     assert code == 3
+    # a cell csv.reader refuses is a parse error at its record, not a crash
+    for text, row in ((f"a,b,y\n{_LONG_CELL},2,3\n1_000,5,6\n", 2),
+                      (f"{_LONG_CELL},2\n3,4\n5,6\n", 1)):
+        path = write_csv(tmp_path, text, name=f"long{row}.csv")
+        code = cli.main(["select", "--input", path, "--predictors", "0",
+                         "--responders", "1", "--k", "1"])
+        assert code == 3
+        assert f"(row {row})" in capsys.readouterr().err
 
 
 def test_exit_code_arity(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ def test_window_exact_tie_prefers_lexicographic():
 
 
 def test_window_near_tie_within_eps():
-    w = ArgminWindow(eps=1e-12)
+    w = ArgminWindow()
     w.add(0.3, (4,))
-    w.add(0.3 + 5e-13, (1,))  # within eps, lex smaller: wins
+    w.add(0.3 + 5e-13, (1,))  # within TIE_EPS = 1e-12, lex smaller: wins
     assert w.winner()[1] == (1,)
     w.add(0.3 - 1e-6, (9,))  # clear new minimum
     assert w.winner()[1] == (9,)
@@ -241,6 +242,21 @@ def test_factorisation_amortised_once_per_subset(monkeypatch):
     winners = [slice_correlations(model, r.subset, r.responder_pos) for r in res]
     assert all(b in [rx for rx, _ in winners] for b in blocks)
     assert all(r in [rho for _, rho in winners] for r in rhos)
+
+
+def test_select_best_keeps_one_copy_of_the_model():
+    """The correlation model is stored once, as an array: no whole-model
+    list mirror outside algorithm1's per-subset scorer (which alone would
+    cost about 4x the matrix's bytes)."""
+    n, m = 150, 2
+    data = synthetic_observations(100, n + m, seed=5)
+    tracemalloc.start()
+    try:
+        select_best(data, range(n), [n, n + 1], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (n + m) ** 2 * 8
 
 
 def _collinear_shifted_instance(seed):

@@ -183,6 +183,16 @@ def test_observation_matrix_read_only():
     data = synthetic_observations(10, 2, seed=37)
     with pytest.raises(ValueError):
         data.values[0, 0] = 99.0
+    # the one copy made on construction is the matrix's own
+    source = np.random.default_rng(37).standard_normal((10, 3))
+    kept = source.tobytes()
+    data = ObservationMatrix(source)
+    source[0, 0] = 99.0
+    assert data.values.tobytes() == kept
+    for other in (source.tolist(), np.asfortranarray(source)):
+        again = ObservationMatrix(other)
+        assert again.values.flags.c_contiguous
+        assert again.values.tobytes() == source.tobytes()
 
 
 def test_model_slices_match_pairwise_pearson():
