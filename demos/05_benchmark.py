@@ -23,7 +23,8 @@ for t in report["timings"]:
 print()
 for method, ratio in sorted(report["speedup_vs_hat_b"].items(),
                             key=lambda kv: -kv[1]):
-    print(f"  speedup vs hat-b: {method:>18}  {ratio:6.1f}x")
+    print(f"  speedup vs hat-b: {method:>18}  {ratio:6.1f}x wall, "
+          f"{report['op_ratio_vs_hat_b'][method]:6.1f}x counted ops")
 print()
 print(f"all methods agree on every winner: {report['winners_agree']}")
 print(f"measured op counts exact: {all(r['exact_match'] for r in report['counts'])}")

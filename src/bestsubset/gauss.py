@@ -3,7 +3,9 @@
 These run on plain Python scalars stored in lists of lists. They are kept
 free of numpy on purpose: the operation-count harness executes the exact
 same functions with an instrumented value type, so what is measured is
-what production runs.
+what production runs. :func:`forward_apply` and :func:`back_substitute`
+only index and do arithmetic, so the batched least-squares scan runs
+them unchanged on entries that are numpy arrays, one element per subset.
 
 Only the upper triangle (including the diagonal) of the input matrix is
 referenced or updated; symmetry supplies the lower triangle. No pivoting

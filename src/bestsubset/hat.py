@@ -15,7 +15,11 @@ and are tracked by the counting harness.
 
 As in the kernels module, the per-subset arithmetic is written as scalar
 loops over nested lists so the counting harness can execute the same
-code paths.
+code paths. These scalar fits are the operation-count reference and
+back :func:`fit_multi`; the subset scan of ``select_best`` runs the
+same operations, in the same order, elementwise across numpy blocks of
+subsets (``search._lsq_block``), so its scores are bit-identical to
+:func:`scan_fit_a` and :func:`scan_fit_b`.
 """
 
 from __future__ import annotations

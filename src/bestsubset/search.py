@@ -4,12 +4,13 @@ Candidates are enumerated in lexicographic index order. The production
 method, cond-uncorrelation, walks the subset tree level by level: each
 j-subset keeps its LDL^T factor, and every extension by one more column
 reuses that factor for a rank-one step, a block of extensions at a time
-in numpy. The reference methods score each subset on its own in pure
-Python: algorithm1 triangulates the stacked matrix, and the
-least-squares baselines pay a full fit including a pass over all d
-observations. Subsets whose predictor block is numerically collinear are
-skipped, and the skip decision depends only on the predictors, never on
-the responder.
+in numpy. The least-squares baselines (hat-a, hat-b) score blocks of
+subsets in numpy too, but each subset pays its own full fit, including a
+pass over all d observations; every score is bit-identical to the scalar
+fit of :mod:`bestsubset.hat`. algorithm1 scores each subset on its own in
+pure Python, triangulating the stacked matrix. Subsets whose predictor
+block is numerically collinear are skipped, and the skip decision depends
+only on the predictors, never on the responder.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     UnknownMethodError,
 )
-from .gauss import solve_symmetric
+from .gauss import back_substitute, forward_apply, solve_symmetric
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
@@ -140,10 +141,10 @@ class ArgminWindow:
 def _scan(score, subsets, m):
     """Reduce a subset stream into one argmin window per responder.
 
-    The scan of the reference methods (algorithm1, hat-a, hat-b).
-    ``score(subset)`` returns the m responder scores or raises
-    SingularMatrixError; the methods only ever raise on predictor pivots,
-    so a raise drops the whole subset and counts it as skipped.
+    The scan of algorithm1, and the reference the batched scans are
+    tested against. ``score(subset)`` returns the m responder scores or
+    raises SingularMatrixError; the methods only ever raise on predictor
+    pivots, so a raise drops the whole subset and counts it as skipped.
     """
     windows = [ArgminWindow() for _ in range(m)]
     skipped = 0
@@ -158,7 +159,24 @@ def _scan(score, subsets, m):
     return windows, skipped
 
 
-# Subsets handled per numpy pass of the batched scan. Each tree level
+def _reduce(windows, subsets, scores):
+    """Feed one block of scored subsets to the per-responder windows.
+
+    ``subsets`` is b x k, ``scores`` b x m, skipped subsets already left
+    out. Only leaves within TIE_EPS of the block's minimum are handed
+    on; every possible winner is among them, so the lexicographic
+    tie-break stays exact across blocks. A NaN score (an overflowing Gram
+    table) is never handed on: it could not win a window anyway, unless
+    it came first, where it would leave no winner at all.
+    """
+    if not len(scores):
+        return
+    near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
+    for i, t in zip(*np.nonzero(near)):
+        windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
+
+
+# Subsets handled per numpy pass of the tree walk. Each tree level
 # holds at most this many nodes at a time, so the working set is about
 # BLOCK * k * (n + m) floats per level whatever C(n, k) is.
 BLOCK = 512
@@ -182,9 +200,8 @@ def _scan_batched(rx, ry, k):
     omega drops by its square over the pivot. A pivot below EPS_PIV skips
     the extension and every subset below it, as in the scalar kernel.
     Leaf omega^2 outside [0, 1] go through the shared range check before
-    the argmin, so perfect fits tie at 0.0. Each block then hands the
-    windows only its leaves within TIE_EPS of the block minimum; every
-    possible winner is among them.
+    the argmin, so perfect fits tie at 0.0; :func:`_reduce` then feeds
+    the windows.
 
     Returns (windows, skipped) like :func:`_scan`.
     """
@@ -198,9 +215,7 @@ def _scan_batched(rx, ry, k):
         evaluated += len(subsets)
         for i, t in zip(*np.nonzero(~((omega >= 0.0) & (omega <= 1.0)))):
             omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, "conditional_uuc")
-        near = omega <= omega.min(axis=0) + TIE_EPS
-        for i, t in zip(*np.nonzero(near)):
-            windows[t].add(float(omega[i, t]), tuple(subsets[i].tolist()))
+        _reduce(windows, subsets, omega)
 
     def extend(subsets, u, v, dinv, omega):
         j = subsets.shape[1]
@@ -240,6 +255,105 @@ def _scan_batched(rx, ry, k):
     extend(np.empty((1, 0), dtype=np.intp), np.empty((1, 0, n)),
            np.empty((1, 0, m)), np.empty((1, 0)), np.ones((1, m)))
     return windows, math.comb(n, k) - evaluated
+
+
+# Floats per temporary of the least-squares scan: a block holds about
+# LSQ_FLOATS / (max(m, k + 1) * d) subsets. Blocks four times larger
+# raised the peak RSS of `verify` at d=1000, m=5 from 31.2 to 34.8 MB,
+# with no gain in speed.
+LSQ_FLOATS = 2**15
+
+
+def _scan_lsq(tables, data, pred, resp, k, method):
+    """Reduce every k-subset's least-squares MSE into argmin windows.
+
+    The batched form of scoring each subset with ``hat.scan_fit_a``
+    (method "hat-a") or ``hat.scan_fit_b`` ("hat-b") and dividing the
+    sums of squares by d, a block of lexicographic subsets at a time.
+    Returns (windows, skipped) like :func:`_scan`.
+    """
+    d, m = data.d, len(resp)
+    # design rows: the all-ones column, then the predictors
+    x = np.vstack((np.ones(d), data.values[:, list(pred)].T))
+    y = data.values[:, list(resp)].T
+    gram = tuple(np.array(v) for v in (tables.sum_x, tables.xx, tables.sum_y, tables.xy))
+    block = max(1, LSQ_FLOATS // (max(m, k + 1) * d))
+    windows = [ArgminWindow() for _ in range(m)]
+    skipped = 0
+    stream = enumerate_subsets(len(pred), k)
+    while True:
+        subsets = np.array(list(itertools.islice(stream, block)), dtype=np.intp)
+        if not len(subsets):
+            return windows, skipped
+        scores, singular = _lsq_block(gram, x, y, subsets, method)
+        skipped += int(singular.sum())
+        _reduce(windows, subsets[~singular], scores[~singular])
+
+
+def _lsq_block(gram, x, y, subsets, method):
+    """Least-squares scores of one block of subsets, per responder.
+
+    Returns (scores, singular): the b x m sums of squared residuals over
+    d, and the mask of the subsets whose normal matrix has a pivot below
+    EPS_PIV (their scores mean nothing). Each step is the scalar fit's own
+    operation, in its order, applied elementwise across the block, so
+    every score is bit-identical to ``hat.scan_fit_a``/``scan_fit_b``:
+    the solves are ``gauss.forward_apply``/``back_substitute`` themselves,
+    and the residual pass sums ``e * e`` along d with the sequential
+    ``np.add.accumulate``.
+    """
+    sum_x, xx, sum_y, xy = gram
+    b, k = subsets.shape
+    q, d = k + 1, x.shape[1]
+    s = subsets.T
+    # entry (i, j) of the normal matrix is a b x 1 column, so it
+    # broadcasts against the b x m and b x d right hand sides
+    a = np.empty((q, q, b, 1))
+    a[0, 0] = d
+    a[0, 1:, :, 0] = a[1:, 0, :, 0] = sum_x[s]
+    a[1:, 1:, :, 0] = xx[s[:, None], s[None, :]]
+    xty = [np.broadcast_to(sum_y, (b, len(sum_y)))] + [xy[:, c].T for c in s]
+    cols = list(x[np.vstack((np.zeros(b, dtype=np.intp), s + 1))])
+    # skipped subsets divide by tiny pivots, and Python floats overflow
+    # to inf and NaN without a warning: the block runs as silently
+    with np.errstate(all="ignore"):
+        mult, recips, singular = _eliminate_block(a, q)
+        if method == "hat-a":
+            forward_apply(mult, xty, q)
+            rows, vec = cols, back_substitute(a, recips, xty, q)
+        else:
+            forward_apply(mult, cols, q)
+            rows, vec = back_substitute(a, recips, cols, q), xty
+        acc = np.zeros((b, len(y), d))
+        for j in range(q):
+            acc += rows[j][:, None, :] * vec[j][:, :, None]
+        np.subtract(y, acc, out=acc)
+        np.multiply(acc, acc, out=acc)
+        np.add.accumulate(acc, axis=2, out=acc)
+        return acc[:, :, -1] / d, singular.ravel()
+
+
+def _eliminate_block(a, q):
+    """``gauss.factor_symmetric`` across a block, in place.
+
+    ``a`` is q x q x b x 1. Where the scalar elimination raises on a
+    pivot below EPS_PIV, this marks the subset in the returned b x 1
+    ``singular`` mask and carries on; later steps of that subset are
+    never read.
+    """
+    mult = [[None] * q for _ in range(q)]
+    recips = [None] * q
+    singular = np.zeros(a.shape[2:], dtype=bool)
+    for i in range(q):
+        pivot = a[i, i]
+        singular |= np.abs(pivot) < EPS_PIV
+        recip = 1.0 / pivot
+        recips[i] = recip
+        for j in range(i + 1, q):
+            temp = a[i, j] * recip
+            mult[i][j] = temp
+            a[j, j:] = a[j, j:] - a[i, j:] * temp
+    return mult, recips, singular
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +397,9 @@ def select_best(
         subsets, they just get there at very different cost.
         cond-uncorrelation walks the subset tree in numpy blocks, sharing
         each prefix's factor with all of its extensions, and re-scores
-        only the winners with the scalar kernels; the other three score
-        every subset on its own in pure Python
+        only the winners with the scalar kernels; hat-a and hat-b fit
+        every subset on its own, a numpy block of subsets at a time;
+        algorithm1 scores every subset on its own in pure Python
     workers : accepted and ignored; the scan runs on one thread (a
         2-thread pool measured 0.53-1.00x on the pure-Python scan). Kept
         only for the ``search.workers2_speedup`` probe in
@@ -317,18 +432,8 @@ def select_best(
 
     model = build_correlation_model(data, pred, resp)
     tables = None
-    if method in ("hat-a", "hat-b"):
-        tables = hat.gram_products(data, pred, resp)
-        cols = [[1.0] * data.d] + [data.column_list(c) for c in pred]
-        ys = [data.column_list(c) for c in resp]
-        fit = hat.scan_fit_a if method == "hat-a" else hat.scan_fit_b
-        d = data.d
-
-        def score(subset):
-            xtx = hat.assemble_xtx(tables, subset)
-            xtys = [hat.assemble_xty(tables, subset, t) for t in range(m)]
-            sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
-            return [sse / d for sse in fit(xtx, xtys, sub_cols, ys, d)[0]]
+    if method == "cond-uncorrelation":
+        windows, skipped = _scan_batched(model.rx, model.ry, k)
     elif method == "algorithm1":
         # per subset, lists slice faster than numpy; dropped on return
         rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
@@ -337,10 +442,10 @@ def select_best(
             rx, rhos = _slice(rx_rows, ry_rows, subset)
             return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
 
-    if method == "cond-uncorrelation":
-        windows, skipped = _scan_batched(model.rx, model.ry, k)
-    else:
         windows, skipped = _scan(score, enumerate_subsets(n, k), m)
+    else:
+        tables = hat.gram_products(data, pred, resp)
+        windows, skipped = _scan_lsq(tables, data, pred, resp, k, method)
     if skipped == total:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"

@@ -417,6 +417,26 @@ def test_bench_smoke(capsys):
     assert {t["method"] for t in report["timings"]} == set(cli.METHODS)
     assert all(row["exact_match"] for row in report["counts"])
     assert set(report["speedup_vs_hat_b"]) == set(cli.METHODS)
+    ops = {r["method"]: r["adds_measured"] + r["muls_measured"] + r["divs_measured"]
+           for r in report["counts"]}
+    assert report["op_ratio_vs_hat_b"] == {
+        "cond-uncorrelation": ops["hat-b"] / ops["alg2"],
+        "algorithm1": ops["hat-b"] / ops["alg1"],
+        "hat-a": ops["hat-b"] / ops["hat-a"],
+        "hat-b": 1.0,
+    }
+    assert report["op_ratio_vs_hat_b"]["cond-uncorrelation"] > 1.0
+    code, out = run_cli(capsys, [
+        "bench", "--d", "60", "--n", "6", "--k", "2", "--m", "2",
+        "--format", "csv",
+    ])
+    assert code == 0
+    assert out.splitlines()[0] == "method,wall_s,per_subset_s,op_ratio_vs_hat_b"
+    code, out = run_cli(capsys, [
+        "bench", "--d", "60", "--n", "6", "--k", "2", "--m", "2",
+    ])
+    assert code == 0
+    assert "op ratio vs hat-b: cond-uncorrelation" in out
 
 
 def test_count_ops_formats(capsys):
