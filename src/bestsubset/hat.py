@@ -4,7 +4,8 @@ The baseline scores a subset by actually fitting the regression: solve
 (X^T X) beta = X^T y by Gaussian elimination, form the residual
 e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
-lookup from inner-product tables computed once over the full data.
+lookup from one Gram matrix computed once over the full data by
+:func:`stats._dots`, the kernel behind the correlation model.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InternalNumericError
 from .gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
+from .stats import _dots
 
 __all__ = [
     "GramTables",
@@ -46,81 +49,57 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GramTables:
-    """All inner products the subset scan will ever look up.
-
-    ``sum_x``/``sum_y`` are inner products against the all-ones column;
-    ``xx`` is indexed by predictor position (not raw column index), ``xy``
-    by responder position then predictor position.
-    """
+    """All inner products the subset scan will ever look up: ``g`` is the
+    Gram matrix of the stacked rows [1; X; Y], the all-ones column, the n
+    predictors, then the m responders, by position (not column index)."""
 
     d: int
-    sum_x: tuple[float, ...]
-    sum_y: tuple[float, ...]
-    xx: tuple[tuple[float, ...], ...]
-    xy: tuple[tuple[float, ...], ...]
-    yy: tuple[float, ...]
+    n: int
+    g: np.ndarray
+
+
+def _stacked(data, predictors, responders) -> np.ndarray:
+    """The rows [1; X; Y] of the Gram matrix, one contiguous d-vector each."""
+    return np.vstack((np.ones(data.d), data.values[:, [*predictors, *responders]].T))
 
 
 def gram_products(data, predictors, responders) -> GramTables:
     """Precompute every pairwise inner product once, with numpy.
 
     This is the one-time global pass; everything after it assembles
-    subset-level matrices purely by lookup.
+    subset-level matrices purely by lookup. A column whose squared norm
+    overflows float64 raises InternalNumericError.
     """
-    return _gram([data.column(c) for c in predictors],
-                 [data.column(c) for c in responders], data.d)
+    return _checked_gram(_stacked(data, predictors, responders), predictors, responders)
 
 
-def _gram(pcols, rcols, d) -> GramTables:
-    """Inner-product tables of predictor and responder arrays of length d."""
-    ones = np.ones(d, dtype=np.float64)
-    sum_x = tuple(float(np.dot(ones, c)) for c in pcols)
-    sum_y = tuple(float(np.dot(ones, c)) for c in rcols)
-    n = len(pcols)
-    xx = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = float(np.dot(pcols[i], pcols[j]))
-            xx[i][j] = v
-            xx[j][i] = v
-    xy = tuple(
-        tuple(float(np.dot(pcols[j], rc)) for j in range(n)) for rc in rcols
-    )
-    yy = tuple(float(np.dot(rc, rc)) for rc in rcols)
-    return GramTables(
-        d=d,
-        sum_x=sum_x,
-        sum_y=sum_y,
-        xx=tuple(tuple(row) for row in xx),
-        xy=xy,
-        yy=yy,
-    )
+def _checked_gram(rows, predictors, responders) -> GramTables:
+    """:func:`_gram`, rejecting the first column whose squared norm
+    overflows: every subset holding it would score NaN."""
+    tables = _gram(rows, len(predictors))
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(tables.g)))
+    if len(bad):
+        column = [*predictors, *responders][bad[0] - 1]
+        raise InternalNumericError(
+            f"column {column!r} has a squared norm that overflows float64 "
+            "in the least-squares Gram table")
+    return tables
+
+
+def _gram(rows, n) -> GramTables:
+    """Gram tables of the stacked rows [1; X; Y] with n predictors, unchecked."""
+    return GramTables(d=rows.shape[1], n=n, g=_dots(rows))
 
 
 def assemble_xtx(tables: GramTables, subset):
     """Normal matrix of [1 | x_subset] as a fresh scratch, lookups only."""
-    k = len(subset)
-    n = k + 1
-    a = [[None] * n for _ in range(n)]
-    a[0][0] = float(tables.d)
-    for j in range(k):
-        s = tables.sum_x[subset[j]]
-        a[0][j + 1] = s
-        a[j + 1][0] = s
-    for i in range(k):
-        row = tables.xx[subset[i]]
-        for j in range(k):
-            a[i + 1][j + 1] = row[subset[j]]
-    return a
+    pos = [0, *(1 + j for j in subset)]
+    return tables.g[np.ix_(pos, pos)].tolist()
 
 
 def assemble_xty(tables: GramTables, subset, t):
     """Right hand side X^T y for responder position ``t``, lookups only."""
-    row = tables.xy[t]
-    out = [tables.sum_y[t]]
-    for j in subset:
-        out.append(row[j])
-    return out
+    return tables.g[1 + tables.n + t, [0, *(1 + j for j in subset)]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +233,7 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
-    tables = _gram([np.asarray(c, dtype=np.float64) for c in X.cols[1:]],
-                   [np.asarray(y, dtype=np.float64) for y in ys], X.d)
+    tables = _gram(np.array(X.cols + ys, dtype=np.float64), X.k)
     idx = range(X.k)
     xtx = assemble_xtx(tables, idx)
     xtys = [assemble_xty(tables, idx, t) for t in range(len(ys))]

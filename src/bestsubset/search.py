@@ -165,9 +165,9 @@ def _reduce(windows, subsets, scores):
     ``subsets`` is b x k, ``scores`` b x m, skipped subsets already left
     out. Only leaves within TIE_EPS of the block's minimum are handed
     on; every possible winner is among them, so the lexicographic
-    tie-break stays exact across blocks. A NaN score (an overflowing Gram
-    table) is never handed on: it could not win a window anyway, unless
-    it came first, where it would leave no winner at all.
+    tie-break stays exact across blocks. A NaN score is never handed on:
+    it could not win a window anyway, unless it came first, where it
+    would leave no winner at all.
     """
     if not len(scores):
         return
@@ -264,69 +264,65 @@ def _scan_batched(rx, ry, k):
 LSQ_FLOATS = 2**15
 
 
-def _scan_lsq(tables, data, pred, resp, k, method):
+def _scan_lsq(tables, rows, k, method):
     """Reduce every k-subset's least-squares MSE into argmin windows.
 
-    The batched form of scoring each subset with ``hat.scan_fit_a``
-    (method "hat-a") or ``hat.scan_fit_b`` ("hat-b") and dividing the
-    sums of squares by d, a block of lexicographic subsets at a time.
-    Returns (windows, skipped) like :func:`_scan`.
+    ``rows`` are the rows [1; X; Y] of ``tables``. The batched form of
+    scoring each subset with ``hat.scan_fit_a`` (method "hat-a") or
+    ``hat.scan_fit_b`` ("hat-b") and dividing the sums of squares by d, a
+    block of lexicographic subsets at a time. Returns (windows, skipped)
+    like :func:`_scan`.
     """
-    d, m = data.d, len(resp)
-    # design rows: the all-ones column, then the predictors
-    x = np.vstack((np.ones(d), data.values[:, list(pred)].T))
-    y = data.values[:, list(resp)].T
-    gram = tuple(np.array(v) for v in (tables.sum_x, tables.xx, tables.sum_y, tables.xy))
+    d, m = tables.d, len(rows) - 1 - tables.n
     block = max(1, LSQ_FLOATS // (max(m, k + 1) * d))
     windows = [ArgminWindow() for _ in range(m)]
     skipped = 0
-    stream = enumerate_subsets(len(pred), k)
+    stream = enumerate_subsets(tables.n, k)
     while True:
         subsets = np.array(list(itertools.islice(stream, block)), dtype=np.intp)
         if not len(subsets):
             return windows, skipped
-        scores, singular = _lsq_block(gram, x, y, subsets, method)
+        scores, singular = _lsq_block(tables, rows, subsets, method)
         skipped += int(singular.sum())
         _reduce(windows, subsets[~singular], scores[~singular])
 
 
-def _lsq_block(gram, x, y, subsets, method):
+def _lsq_block(tables, rows, subsets, method):
     """Least-squares scores of one block of subsets, per responder.
 
     Returns (scores, singular): the b x m sums of squared residuals over
     d, and the mask of the subsets whose normal matrix has a pivot below
-    EPS_PIV (their scores mean nothing). Each step is the scalar fit's own
-    operation, in its order, applied elementwise across the block, so
-    every score is bit-identical to ``hat.scan_fit_a``/``scan_fit_b``:
-    the solves are ``gauss.forward_apply``/``back_substitute`` themselves,
-    and the residual pass sums ``e * e`` along d with the sequential
-    ``np.add.accumulate``.
+    EPS_PIV (their scores mean nothing). The normal matrices and X^T y are
+    one fancy index each into ``tables.g``; every later step is the scalar
+    fit's own operation, in its order, applied elementwise across the
+    block, so every score is bit-identical to ``hat.scan_fit_a``/
+    ``scan_fit_b``: the solves are ``gauss.forward_apply``/
+    ``back_substitute`` themselves, and the residual pass sums ``e * e``
+    along d with the sequential ``np.add.accumulate``.
     """
-    sum_x, xx, sum_y, xy = gram
     b, k = subsets.shape
-    q, d = k + 1, x.shape[1]
-    s = subsets.T
+    q, d, n = k + 1, tables.d, tables.n
+    # q x b positions in ``rows``: the all-ones row, then the subset
+    pos = np.vstack((np.zeros(b, dtype=np.intp), subsets.T + 1))
+    y = rows[1 + n:]
     # entry (i, j) of the normal matrix is a b x 1 column, so it
     # broadcasts against the b x m and b x d right hand sides
-    a = np.empty((q, q, b, 1))
-    a[0, 0] = d
-    a[0, 1:, :, 0] = a[1:, 0, :, 0] = sum_x[s]
-    a[1:, 1:, :, 0] = xx[s[:, None], s[None, :]]
-    xty = [np.broadcast_to(sum_y, (b, len(sum_y)))] + [xy[:, c].T for c in s]
-    cols = list(x[np.vstack((np.zeros(b, dtype=np.intp), s + 1))])
+    a = tables.g[pos[:, None, :], pos[None, :, :], None]
+    xty = list(tables.g[pos[:, :, None], 1 + n + np.arange(len(y))])
+    cols = list(rows[pos])
     # skipped subsets divide by tiny pivots, and Python floats overflow
     # to inf and NaN without a warning: the block runs as silently
     with np.errstate(all="ignore"):
         mult, recips, singular = _eliminate_block(a, q)
         if method == "hat-a":
             forward_apply(mult, xty, q)
-            rows, vec = cols, back_substitute(a, recips, xty, q)
+            basis, vec = cols, back_substitute(a, recips, xty, q)
         else:
             forward_apply(mult, cols, q)
-            rows, vec = back_substitute(a, recips, cols, q), xty
+            basis, vec = back_substitute(a, recips, cols, q), xty
         acc = np.zeros((b, len(y), d))
         for j in range(q):
-            acc += rows[j][:, None, :] * vec[j][:, :, None]
+            acc += basis[j][:, None, :] * vec[j][:, :, None]
         np.subtract(y, acc, out=acc)
         np.multiply(acc, acc, out=acc)
         np.add.accumulate(acc, axis=2, out=acc)
@@ -444,8 +440,9 @@ def select_best(
 
         windows, skipped = _scan(score, enumerate_subsets(n, k), m)
     else:
-        tables = hat.gram_products(data, pred, resp)
-        windows, skipped = _scan_lsq(tables, data, pred, resp, k, method)
+        rows = hat._stacked(data, pred, resp)
+        tables = hat._checked_gram(rows, pred, resp)
+        windows, skipped = _scan_lsq(tables, rows, k, method)
     if skipped == total:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"

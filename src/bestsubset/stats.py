@@ -5,11 +5,13 @@ factors cancel inside every correlation, so selection results do not
 depend on that choice; keeping one convention everywhere just makes the
 intermediate quantities comparable across modules.
 
-Every correlation comes out of one routine, :func:`_pairwise`, pairwise
-from the two columns involved and never through a blocked matrix product
-(a block of a BLAS Gram matrix is not bit-identical to that block computed
-alone). So slicing a precomputed correlation matrix is bit-identical to
-recomputing the small matrix from raw data.
+Every inner product, of the correlations and of the least-squares Gram
+tables alike, comes out of one kernel, :func:`_dots`: vector-vector
+matmuls, which numpy hands to the BLAS ddot that ``np.dot`` calls. So
+entry (i, j) depends only on rows i and j, and slicing a precomputed
+matrix is bit-identical to recomputing the small matrix from raw data.
+A gemv, GEMM or einsum sums an entry in an order set by its block, so
+none is used.
 """
 
 from __future__ import annotations
@@ -136,6 +138,16 @@ def correlation_matrix(data: ObservationMatrix, columns) -> np.ndarray:
     return _pairwise([data.column(c) for c in cols], cols)[0]
 
 
+def _dots(rows) -> np.ndarray:
+    """Symmetric matrix of ``np.dot(rows[i], rows[j])`` over the rows of a
+    2-D array, bit for bit: row i is a stack of (1 x d) @ (d x 1) matmuls."""
+    q = rows.shape[0]
+    out = np.empty((q, q), dtype=np.float64)
+    for i in range(q):
+        out[i, i:] = out[i:, i] = (rows[i:, None, :] @ rows[i, :, None])[:, 0, 0]
+    return out
+
+
 def _pairwise(vectors, labels):
     """Correlation matrix of equal-length ``vectors`` plus their ColumnStats.
 
@@ -144,22 +156,28 @@ def _pairwise(vectors, labels):
     product are symmetric in their operands, so any slice of the result,
     in either orientation, equals the pairwise value bit for bit.
     """
-    devs, stats = [], []
-    for v, label in zip(vectors, labels):
-        dev, s = _centre(v)
+    devs = np.empty((len(vectors), len(vectors[0])), dtype=np.float64)
+    stats = []
+    for i, (v, label) in enumerate(zip(vectors, labels)):
+        devs[i], s = _centre(v)
         if not math.isfinite(s.sigma):
             raise InternalNumericError(f"column {label!r} has a variance that overflows float64")
         if s.degenerate:
             raise ZeroVarianceColumn(label, s.sigma)
-        devs.append(dev)
         stats.append(s)
-    d, q = devs[0].shape[0], len(devs)
-    out = np.ones((q, q), dtype=np.float64)
-    for i in range(q):
-        for j in range(i + 1, q):
-            rho = float(np.dot(devs[i], devs[j])) / d / (stats[i].sigma * stats[j].sigma)
-            out[i, j] = out[j, i] = _clamp(
-                rho, -1.0, 1.0, f"pearson({labels[i]!r}, {labels[j]!r})")
+    d = devs.shape[1]
+    out = _dots(devs)
+    # drop the deviations, then scale row by row in place: whole-matrix
+    # temporaries would raise the peak memory
+    del devs
+    sigma = np.array([s.sigma for s in stats])
+    for i, row in enumerate(out):
+        row /= d
+        row /= sigma[i] * sigma
+    np.fill_diagonal(out, 1.0)
+    for i, j in zip(*np.nonzero(np.triu(~((out >= -1.0) & (out <= 1.0)), 1))):
+        out[i, j] = out[j, i] = _clamp(
+            float(out[i, j]), -1.0, 1.0, f"pearson({labels[i]!r}, {labels[j]!r})")
     return out, stats
 
 

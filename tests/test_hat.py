@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from conftest import make_instance
 
-from bestsubset import DesignMatrix, SingularMatrixError, fit_multi, fit_single, gram_products
+from bestsubset import (
+    DesignMatrix,
+    SingularMatrixError,
+    fit_multi,
+    fit_single,
+    gram_products,
+    select_best,
+)
 from bestsubset.hat import assemble_xtx, assemble_xty
 from bestsubset.stats import column_stats, synthetic_observations
 
@@ -117,6 +124,19 @@ def test_multi_consistent_with_single():
         single = fit_single(X, y)
         assert single.beta == multi[t].beta
         assert single.sse == multi[t].sse
+
+
+def test_fit_single_reproduces_the_hat_a_winner():
+    """The scan's Gram tables and fit_single's are the same inner products
+    of the same contiguous rows, so refitting a hat-a winner gives the
+    reported mse and coefficients bit for bit."""
+    for seed in range(20):
+        data = synthetic_observations(200, 8, seed=seed)
+        for r in select_best(data, range(6), [6, 7], 2, method="hat-a"):
+            fit = fit_single(DesignMatrix([data.column(c) for c in r.subset_columns]),
+                             data.column(r.responder_column))
+            assert fit.mse == r.mse
+            assert fit.beta == (r.coefficients.beta0, *r.coefficients.betas)
 
 
 def test_collinear_design_raises():

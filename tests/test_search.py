@@ -10,6 +10,7 @@ from conftest import all_cond_scores, make_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bestsubset.hat as hat
 import bestsubset.search as search
 from bestsubset import (
     InternalNumericError,
@@ -24,6 +25,7 @@ from bestsubset import (
     select_best,
     synthetic_observations,
 )
+from bestsubset import cli
 from bestsubset.gauss import solve_symmetric
 from bestsubset.hat import assemble_xtx, assemble_xty, scan_fit_a, scan_fit_b
 from bestsubset.search import METHODS, ArgminWindow, enumerate_subsets, slice_correlations
@@ -411,7 +413,7 @@ def test_batched_scan_matches_scalar_reference(instance, block):
 def _lsq_reference(data, pred, resp, k, method):
     """Every subset's scalar least-squares score, and the windows and skip
     count of :func:`search._scan` over them."""
-    tables = gram_products(data, pred, resp)
+    tables = hat._gram(hat._stacked(data, pred, resp), len(pred))
     d, m = data.d, len(resp)
     cols = [[1.0] * d] + [data.column_list(c) for c in pred]
     ys = [data.column_list(c) for c in resp]
@@ -432,7 +434,7 @@ def _lsq_reference(data, pred, resp, k, method):
 def _overflowing_gram_instance(col=2, k=2):
     """Column ``col`` sits near 1e160, so its Gram entries overflow to inf
     and every subset holding it scores NaN, in the scalar fit as in the
-    block."""
+    block; ``gram_products`` rejects it."""
     x = np.random.default_rng(3).standard_normal((20, 5))
     x[:, col] = 1e160 + 1e150 * x[:, col]
     return ObservationMatrix(x), [0, 1, 2, 3], [4], k
@@ -444,28 +446,31 @@ def _overflowing_gram_instance(col=2, k=2):
 @example(_collinear_shifted_instance(8), 1)
 @example(_collinear_shifted_instance(12), search.LSQ_FLOATS)
 @example(_overflowing_gram_instance(), search.LSQ_FLOATS)
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_batched_least_squares_matches_scalar_fit(instance, floats):
     """Every batched hat-a/hat-b score is bit-identical to the scalar fit,
     and so are the skips, the winners and everything reported of them,
     whether a block holds one subset or the default number, and when some
-    scores are NaN."""
+    scores are NaN (tables built past the overflow check, which
+    ``select_best`` applies)."""
     data, pred, resp, k = instance
-    tables = gram_products(data, pred, resp)
+    rows = hat._stacked(data, pred, resp)
+    tables = hat._gram(rows, len(pred))
     total = math.comb(len(pred), k)
-    x = np.vstack((np.ones(data.d), data.values[:, pred].T))
-    y = data.values[:, resp].T
-    gram = tuple(np.array(v) for v in (tables.sum_x, tables.xx, tables.sum_y, tables.xy))
     subsets = np.array(list(enumerate_subsets(len(pred), k)), dtype=np.intp)
     for method in ("hat-a", "hat-b"):
         ref_scores, windows, skipped = _lsq_reference(data, pred, resp, k, method)
-        scores, singular = search._lsq_block(gram, x, y, subsets, method)
+        scores, singular = search._lsq_block(tables, rows, subsets, method)
         for subset, row, skip in zip(map(tuple, subsets.tolist()), scores, singular):
             assert skip == (subset not in ref_scores)
             if not skip:
                 assert row.tobytes() == np.array(ref_scores[subset]).tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "LSQ_FLOATS", floats)
+            if not np.isfinite(np.diagonal(tables.g)).all():
+                with pytest.raises(InternalNumericError):
+                    select_best(data, pred, resp, k, method=method)
+                continue
             if skipped == total:
                 with pytest.raises(NoValidSubsetError):
                     select_best(data, pred, resp, k, method=method)
@@ -496,13 +501,30 @@ def test_least_squares_scan_memory_is_bounded():
     assert peak < 2_000_000
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_nan_scores_never_win():
-    """Subset (0,) comes first and scores NaN. A NaN heading a window left
-    it no winner (a ValueError from min()); it is now never handed on, so
-    the finite scores decide."""
+    """A NaN heading a window left it no winner (a ValueError from min());
+    it is never handed on, so the finite scores decide."""
+    windows = [ArgminWindow(), ArgminWindow()]
+    subsets = np.array([[0], [1], [2]])
+    search._reduce(windows, subsets, np.array([[np.nan, 0.5], [0.25, np.nan], [0.5, 0.75]]))
+    assert [w.winner() for w in windows] == [(0.25, (1,)), (0.5, (0,))]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
+    """A column whose squared norm overflows float64 is an error naming
+    it (exit 11), not a column whose subsets all score NaN: on this table
+    ``verify --k 1`` printed only a RuntimeWarning, then ``verify: FAIL``
+    (exit 10), and ``select --method hat-a`` silently picked [3]."""
     data, pred, resp, k = _overflowing_gram_instance(col=0, k=1)
     for method in ("hat-a", "hat-b"):
-        (r,) = select_best(data, pred, resp, k, method=method)
-        assert r.subset != (0,) and math.isfinite(r.mse)
-        assert r.subsets_evaluated == 4
+        with pytest.raises(InternalNumericError, match="column 0 "):
+            select_best(data, pred, resp, k, method=method)
+    path = tmp_path / "overflow.csv"
+    path.write_text("a,b,c,d,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in data.values.tolist()))
+    for argv in (["verify"], ["select", "--method", "hat-a"]):
+        code = cli.main(argv + ["--input", str(path), "--predictors", "a,b,c,d",
+                                "--responders", "y", "--k", "1"])
+        assert code == cli.EXIT_CODES["internal-numeric"]
+        assert "column 0 " in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestsubset import (
     InternalNumericError,
@@ -15,6 +17,7 @@ from bestsubset import (
 )
 from bestsubset import cli
 from bestsubset.search import _stack, slice_correlations
+from bestsubset.stats import _dots
 from bestsubset.tolerances import EPS_NUM, _clamp
 
 
@@ -160,6 +163,40 @@ def test_correlation_matrix_submatrix_bit_identical():
         stacked = _stack(*slice_correlations(model, subset, t))
         cols = [model.predictors[j] for j in subset] + [model.responders[t]]
         assert np.array_equal(np.array(stacked), correlation_matrix(data, cols))
+
+
+@st.composite
+def _column_picks(draw):
+    """(data, columns): d from 2 to 70, so ddot's short and tail lengths
+    all come up, and a drawn order of columns with repeats, scaled and
+    shifted apart."""
+    d, p = draw(st.integers(2, 70)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((d, p)) * 10.0 ** rng.uniform(-4, 4, p) + rng.uniform(-1e3, 1e3, p)
+    return ObservationMatrix(x), draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=9))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_column_picks())
+def test_inner_product_kernel_is_pairwise_np_dot(instance):
+    """Every entry of the kernel is np.dot of its two rows, and every
+    correlation is the pairwise formula on separately centred columns,
+    byte for byte, whatever the length, order and repeats."""
+    data, cols = instance
+    d, q = data.d, len(cols)
+    rows = np.ascontiguousarray(data.values[:, cols].T)
+    dots = _dots(rows)
+    for i in range(q):
+        for j in range(q):
+            assert dots[i, j] == float(np.dot(rows[i], rows[j]))
+    devs = [data.column(c) - float(np.mean(data.column(c))) for c in cols]
+    sigma = [float(np.sqrt(np.dot(v, v) / d)) for v in devs]
+    expected = np.ones((q, q))
+    for i in range(q):
+        for j in range(i + 1, q):
+            rho = float(np.dot(devs[i], devs[j])) / d / (sigma[i] * sigma[j])
+            expected[i, j] = expected[j, i] = _clamp(rho, -1.0, 1.0, "rho")
+    assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
 
 
 def test_large_sample_off_diagonals_small():
