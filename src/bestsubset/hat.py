@@ -227,13 +227,15 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     ``ordering`` picks the multi-responder schedule ("a" or "b"); results
     agree to rounding. For ordering B the coefficients are recovered by a
     separate solve of the same assembled normal equations, since that
-    schedule does not produce them.
+    schedule does not produce them. A column whose squared norm overflows
+    float64 raises InternalNumericError (predictors, then ys, from 0).
     """
     ys = [[float(v) for v in y] for y in ys]
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
-    tables = _gram(np.array(X.cols + ys, dtype=np.float64), X.k)
+    tables = _checked_gram(np.array(X.cols + ys, dtype=np.float64),
+                           range(X.k), range(X.k, X.k + len(ys)))
     idx = range(X.k)
     xtx = assemble_xtx(tables, idx)
     xtys = [assemble_xty(tables, idx, t) for t in range(len(ys))]

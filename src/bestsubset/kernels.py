@@ -19,7 +19,8 @@ Two kernels compute the ratio:
   is the cheaper route when there are many responders.
 
 Both run on plain Python scalars in nested lists; the operation-count
-harness re-executes them with an instrumented value type.
+harness re-executes the second with an instrumented value type, and
+``search._alg1_block`` repeats the first across numpy blocks.
 """
 
 from __future__ import annotations

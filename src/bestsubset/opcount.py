@@ -25,10 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import hat
 from .errors import InternalNumericError, SingularMatrixError
-from .kernels import conditional_uuc, omega_sq_stacked, triangulate
-from .search import _stack
+from .gauss import factor_symmetric
+from .kernels import conditional_uuc, triangulate
+from .search import _alg1_block
 from .stats import build_correlation_model, synthetic_observations
 
 __all__ = [
@@ -227,13 +230,14 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
 def _run_counted(method, model, tables, cols, ys, k, m, tally):
     # the scored subset range(k) is the whole k-predictor model
     subset = tuple(range(k))
-    rx, rhos = model.rx.tolist(), model.ry.tolist()
     if method == "alg1":
-        for rho in rhos:
-            omega_sq_stacked(_wrap_mat(_stack(rx, rho), tally))
+        # the block's first k pivots are these, so a draw it would skip raises
+        factor_symmetric(model.rx.tolist(), k)
+        wrap = np.vectorize(lambda x: counted(x, tally), otypes=[object])
+        _alg1_block(wrap(model.rx), wrap(model.ry), np.array([subset]))
     elif method == "alg2":
-        cache = triangulate(_wrap_mat(rx, tally))
-        for rho in rhos:
+        cache = triangulate(_wrap_mat(model.rx.tolist(), tally))
+        for rho in model.ry.tolist():
             conditional_uuc(cache, _wrap_vec(rho, tally))
     else:
         xtx = _wrap_mat(hat.assemble_xtx(tables, subset), tally)

@@ -4,13 +4,15 @@ Candidates are enumerated in lexicographic index order. The production
 method, cond-uncorrelation, walks the subset tree level by level: each
 j-subset keeps its LDL^T factor, and every extension by one more column
 reuses that factor for a rank-one step, a block of extensions at a time
-in numpy. The least-squares baselines (hat-a, hat-b) score blocks of
-subsets in numpy too, but each subset pays its own full fit, including a
-pass over all d observations; every score is bit-identical to the scalar
-fit of :mod:`bestsubset.hat`. algorithm1 scores each subset on its own in
-pure Python, triangulating the stacked matrix. Subsets whose predictor
-block is numerically collinear are skipped, and the skip decision depends
-only on the predictors, never on the responder.
+in numpy. The per-subset methods share one block driver: algorithm1
+triangulates each subset's stacked matrix per responder, and the
+least-squares baselines (hat-a, hat-b) pay each subset's full fit,
+including a pass over all d observations. Every block score is
+bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
+``hat.scan_fit_a``/``scan_fit_b``), and every window compares omega^2,
+so the tie rule does not depend on the responders' units. Subsets whose
+predictor block is numerically collinear are skipped, and the skip
+decision depends only on the predictors, never on the responder.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .errors import (
     InvalidSparsityError,
     LimitExceededError,
     NoValidSubsetError,
-    SingularMatrixError,
     UnknownMethodError,
 )
 from .gauss import back_substitute, forward_apply, solve_symmetric
@@ -34,7 +36,6 @@ from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
     conditional_uuc,
-    omega_sq_stacked,
     triangulate,
 )
 from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
@@ -65,29 +66,10 @@ def slice_correlations(model: CorrelationModel, subset, responder: int):
     Entries come straight out of the precomputed model, so they are
     bit-identical to computing the correlations pairwise on raw columns.
     Returns (rx, rho) as fresh nested lists safe to consume, converting
-    only the k rows and the one responder row it reads.
+    only the entries it reads.
     """
-    rx_rows = {i: model.rx[i].tolist() for i in subset}
-    rx, (rho,) = _slice(rx_rows, [model.ry[responder].tolist()], subset)
-    return rx, rho
-
-
-def _slice(rx_rows, ry_rows, subset):
-    """Predictor block of one subset and every responder's vector on it.
-
-    ``rx_rows``/``ry_rows`` hold rows of the model's ``rx``/``ry`` as
-    lists, converted never per subset: by algorithm1's scorer, the whole
-    model once per call; by :func:`slice_correlations`, the rows it reads.
-    Every scalar scorer and the coefficient recovery read the model here.
-    """
-    rx = [[rx_rows[i][j] for j in subset] for i in subset]
-    return rx, [[row[j] for j in subset] for row in ry_rows]
-
-
-def _stack(rx, rho):
-    """Stacked (k+1) x (k+1) correlation matrix, responder last; ``rx`` is
-    copied, not consumed."""
-    return [row + [r] for row, r in zip(rx, rho)] + [rho + [1.0]]
+    idx = list(subset)
+    return model.rx[np.ix_(idx, idx)].tolist(), model.ry[responder, idx].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +120,6 @@ class ArgminWindow:
 # the subset scans
 # ---------------------------------------------------------------------------
 
-def _scan(score, subsets, m):
-    """Reduce a subset stream into one argmin window per responder.
-
-    The scan of algorithm1, and the reference the batched scans are
-    tested against. ``score(subset)`` returns the m responder scores or
-    raises SingularMatrixError; the methods only ever raise on predictor
-    pivots, so a raise drops the whole subset and counts it as skipped.
-    """
-    windows = [ArgminWindow() for _ in range(m)]
-    skipped = 0
-    for subset in subsets:
-        try:
-            scores = score(subset)
-        except SingularMatrixError:
-            skipped += 1
-            continue
-        for t in range(m):
-            windows[t].add(scores[t], subset)
-    return windows, skipped
-
-
 def _reduce(windows, subsets, scores):
     """Feed one block of scored subsets to the per-responder windows.
 
@@ -174,6 +135,12 @@ def _reduce(windows, subsets, scores):
     near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
     for i, t in zip(*np.nonzero(near)):
         windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
+
+
+def _range_check(omega, what):
+    """``_clamp`` the b x m omega^2 outside [0, 1] in (subset, responder) order, in place."""
+    for i, t in zip(*np.nonzero(~((omega >= 0.0) & (omega <= 1.0)))):
+        omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, what)
 
 
 # Subsets handled per numpy pass of the tree walk. Each tree level
@@ -203,7 +170,7 @@ def _scan_batched(rx, ry, k):
     the argmin, so perfect fits tie at 0.0; :func:`_reduce` then feeds
     the windows.
 
-    Returns (windows, skipped) like :func:`_scan`.
+    Returns (windows, skipped) like :func:`_scan_blocks`.
     """
     m, n = ry.shape
     rho = np.ascontiguousarray(ry.T)
@@ -213,8 +180,7 @@ def _scan_batched(rx, ry, k):
     def reduce(subsets, omega):
         nonlocal evaluated
         evaluated += len(subsets)
-        for i, t in zip(*np.nonzero(~((omega >= 0.0) & (omega <= 1.0)))):
-            omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, "conditional_uuc")
+        _range_check(omega, "conditional_uuc")
         _reduce(windows, subsets, omega)
 
     def extend(subsets, u, v, dinv, omega):
@@ -257,48 +223,70 @@ def _scan_batched(rx, ry, k):
     return windows, math.comb(n, k) - evaluated
 
 
-# Floats per temporary of the least-squares scan: a block holds about
-# LSQ_FLOATS / (max(m, k + 1) * d) subsets. Blocks four times larger
+# Floats per temporary of the block scans: a block holds about
+# LSQ_FLOATS / ((k + 1) * m) subsets for algorithm1 and
+# LSQ_FLOATS / (max(m, k + 1) * d) for hat-*. Blocks four times larger
 # raised the peak RSS of `verify` at d=1000, m=5 from 31.2 to 34.8 MB,
 # with no gain in speed.
 LSQ_FLOATS = 2**15
 
 
-def _scan_lsq(tables, rows, k, method):
-    """Reduce every k-subset's least-squares MSE into argmin windows.
+def _scan_blocks(score_block, n, k, m, block):
+    """Reduce every k-subset's score into argmin windows, a block at a time.
 
-    ``rows`` are the rows [1; X; Y] of ``tables``. The batched form of
-    scoring each subset with ``hat.scan_fit_a`` (method "hat-a") or
-    ``hat.scan_fit_b`` ("hat-b") and dividing the sums of squares by d, a
-    block of lexicographic subsets at a time. Returns (windows, skipped)
-    like :func:`_scan`.
+    ``score_block`` takes a b x k array of lexicographic subsets and
+    returns their b x m scores and the b-mask of those with a predictor
+    pivot below EPS_PIV, which are counted as skipped and never read.
+    Returns (windows, skipped).
     """
-    d, m = tables.d, len(rows) - 1 - tables.n
-    block = max(1, LSQ_FLOATS // (max(m, k + 1) * d))
     windows = [ArgminWindow() for _ in range(m)]
     skipped = 0
-    stream = enumerate_subsets(tables.n, k)
+    stream = enumerate_subsets(n, k)
     while True:
-        subsets = np.array(list(itertools.islice(stream, block)), dtype=np.intp)
+        subsets = np.array(list(itertools.islice(stream, max(block, 1))), dtype=np.intp)
         if not len(subsets):
             return windows, skipped
-        scores, singular = _lsq_block(tables, rows, subsets, method)
+        scores, singular = score_block(subsets)
         skipped += int(singular.sum())
         _reduce(windows, subsets[~singular], scores[~singular])
 
 
-def _lsq_block(tables, rows, subsets, method):
+def _alg1_block(rx, ry, subsets):
+    """algorithm1's omega^2 of one block of subsets, for :func:`_scan_blocks`.
+
+    The stacked matrices, responder last, form one q x q x b x m array in
+    ``rx.dtype`` (``opcount`` runs this on counting scalars). After
+    ``gauss._eliminate``'s first k pivots, the last diagonal entry is
+    ``kernels.omega_sq_stacked``'s raw ratio bit for bit, range-checked alike.
+    """
+    b, k = subsets.shape
+    a = np.empty((k + 1, k + 1, b, len(ry)), dtype=rx.dtype)
+    s = subsets.T
+    a[:k, :k] = rx[s[:, None, :], s[None, :, :], None]
+    a[:k, k] = a[k, :k] = ry[:, s].transpose(1, 2, 0)
+    a[k, k] = 1.0
+    # skipped subsets divide by tiny pivots: their entries are never read
+    with np.errstate(all="ignore"):
+        singular = _eliminate_block(a, k + 1)[2][:, 0]
+    a[k, k][singular] = 0.0
+    _range_check(a[k, k], "omega_sq_stacked")
+    return a[k, k], singular
+
+
+def _lsq_block(tables, rows, subsets, method, sigma_sq=1.0):
     """Least-squares scores of one block of subsets, per responder.
 
-    Returns (scores, singular): the b x m sums of squared residuals over
-    d, and the mask of the subsets whose normal matrix has a pivot below
-    EPS_PIV (their scores mean nothing). The normal matrices and X^T y are
-    one fancy index each into ``tables.g``; every later step is the scalar
-    fit's own operation, in its order, applied elementwise across the
-    block, so every score is bit-identical to ``hat.scan_fit_a``/
-    ``scan_fit_b``: the solves are ``gauss.forward_apply``/
-    ``back_substitute`` themselves, and the residual pass sums ``e * e``
-    along d with the sequential ``np.add.accumulate``.
+    ``rows`` are the rows [1; X; Y] of ``tables``. Returns (scores,
+    singular): the b x m sums of squared residuals over d (over d and
+    ``sigma_sq``, the responders' variances, for omega^2), and the mask
+    of the subsets whose normal matrix has a pivot below EPS_PIV (their
+    scores mean nothing). The normal matrices and X^T y are one fancy
+    index each into ``tables.g``; every later step is the scalar fit's
+    own operation, in its order, elementwise across the block, so every
+    score is ``hat.scan_fit_a`` ("hat-a") or ``scan_fit_b``'s over d bit
+    for bit: the solves are ``gauss.forward_apply``/``back_substitute``
+    themselves, and the residual pass sums ``e * e`` along d with the
+    sequential ``np.add.accumulate``.
     """
     b, k = subsets.shape
     q, d, n = k + 1, tables.d, tables.n
@@ -314,6 +302,8 @@ def _lsq_block(tables, rows, subsets, method):
     # to inf and NaN without a warning: the block runs as silently
     with np.errstate(all="ignore"):
         mult, recips, singular = _eliminate_block(a, q)
+        singular |= np.abs(a[k, k]) < EPS_PIV  # factor_symmetric's last pivot
+        recips[k] = 1.0 / a[k, k]
         if method == "hat-a":
             forward_apply(mult, xty, q)
             basis, vec = cols, back_substitute(a, recips, xty, q)
@@ -326,21 +316,20 @@ def _lsq_block(tables, rows, subsets, method):
         np.subtract(y, acc, out=acc)
         np.multiply(acc, acc, out=acc)
         np.add.accumulate(acc, axis=2, out=acc)
-        return acc[:, :, -1] / d, singular.ravel()
+        return acc[:, :, -1] / d / sigma_sq, singular.ravel()
 
 
 def _eliminate_block(a, q):
-    """``gauss.factor_symmetric`` across a block, in place.
+    """``gauss._eliminate`` across a q x q x b x m block ``a``, in place.
 
-    ``a`` is q x q x b x 1. Where the scalar elimination raises on a
-    pivot below EPS_PIV, this marks the subset in the returned b x 1
-    ``singular`` mask and carries on; later steps of that subset are
-    never read.
+    Where the scalar elimination raises on a pivot below EPS_PIV, this
+    marks the entry in the returned b x m ``singular`` mask and carries
+    on; later steps of that entry are never read.
     """
     mult = [[None] * q for _ in range(q)]
     recips = [None] * q
     singular = np.zeros(a.shape[2:], dtype=bool)
-    for i in range(q):
+    for i in range(q - 1):
         pivot = a[i, i]
         singular |= np.abs(pivot) < EPS_PIV
         recip = 1.0 / pivot
@@ -393,14 +382,15 @@ def select_best(
         subsets, they just get there at very different cost.
         cond-uncorrelation walks the subset tree in numpy blocks, sharing
         each prefix's factor with all of its extensions, and re-scores
-        only the winners with the scalar kernels; hat-a and hat-b fit
-        every subset on its own, a numpy block of subsets at a time;
-        algorithm1 scores every subset on its own in pure Python
+        only the winners with the scalar kernels; algorithm1 triangulates
+        every (subset, responder) pair's stacked matrix, and hat-a and
+        hat-b fit every subset, a numpy block of subsets at a time. Every
+        tie window compares omega^2 (for hat-*, MSE over sigma_y^2)
     workers : accepted and ignored; the scan runs on one thread (a
-        2-thread pool measured 0.53-1.00x on the pure-Python scan). Kept
-        only for the ``search.workers2_speedup`` probe in
-        ``perfbench/layers.py``, and deleted in the change after the one
-        that retires that probe
+        2-thread pool measured 0.53-1.00x on the former pure-Python
+        algorithm1 scan). Kept only for the ``search.workers2_speedup``
+        probe in ``perfbench/layers.py``, and deleted in the change after
+        the one that retires that probe
     pair_limit : cap on scored (subset, responder) pairs, None or 0 for
         unlimited
 
@@ -431,34 +421,37 @@ def select_best(
     if method == "cond-uncorrelation":
         windows, skipped = _scan_batched(model.rx, model.ry, k)
     elif method == "algorithm1":
-        # per subset, lists slice faster than numpy; dropped on return
-        rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
-
-        def score(subset):
-            rx, rhos = _slice(rx_rows, ry_rows, subset)
-            return [omega_sq_stacked(_stack(rx, rho)) for rho in rhos]
-
-        windows, skipped = _scan(score, enumerate_subsets(n, k), m)
+        score = partial(_alg1_block, model.rx, model.ry)
+        windows, skipped = _scan_blocks(score, n, k, m, LSQ_FLOATS // ((k + 1) * m))
     else:
         rows = hat._stacked(data, pred, resp)
         tables = hat._checked_gram(rows, pred, resp)
-        windows, skipped = _scan_lsq(tables, rows, k, method)
+        sigma_sq = np.square(model.resp_sigma)
+        score = partial(_lsq_block, tables, rows, method=method, sigma_sq=sigma_sq)
+        block = max(LSQ_FLOATS // (max(m, k + 1) * data.d), 1)
+        windows, skipped = _scan_blocks(score, n, k, m, block)
     if skipped == total:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
-    return [_finalise(model, method, tables, windows[t], t, skipped, total - skipped)
+    winners = [w.winner() for w in windows]
+    mse = [None] * m
+    if tables is not None:
+        # the windows hold MSE / sigma^2; blocks of the winners repeat the
+        # scan's elementwise steps, so entry (t, t) is t's raw MSE bit for bit
+        subsets = np.array([s for _, s in winners])
+        mse = np.concatenate([_lsq_block(tables, rows, subsets[lo:lo + block], method)[0]
+                              for lo in range(0, m, block)]).diagonal().tolist()
+    return [_finalise(model, method, tables, mse[t], *winners[t], t, skipped, total - skipped)
             for t in range(m)]
 
 
-def _finalise(model, method, tables, window, t, skipped, evaluated) -> SelectionResult:
-    score, subset = window.winner()
+def _finalise(model, method, tables, mse, score, subset, t, skipped,
+              evaluated) -> SelectionResult:
     sigma_y = model.resp_sigma[t]
     sigma_y_sq = sigma_y * sigma_y
     if tables is not None:
         # the scan already factored this exact matrix without a skip
-        mse = score
-        omega = mse / sigma_y_sq
         beta = solve_symmetric(hat.assemble_xtx(tables, subset),
                                hat.assemble_xty(tables, subset, t))
         coeff = RegressionCoefficients(beta0=beta[0], betas=tuple(beta[1:]))
@@ -468,8 +461,7 @@ def _finalise(model, method, tables, window, t, skipped, evaluated) -> Selection
             # the scalar kernels score the winner, so the reported figures
             # do not depend on the batched scan's summation order
             score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
-        omega = score
-        mse = sigma_y_sq * omega
+        mse = sigma_y_sq * score
         coeff = coefficients_from_correlations(
             rx, rho, sigma_y,
             [model.pred_sigma[j] for j in subset],
@@ -482,9 +474,9 @@ def _finalise(model, method, tables, window, t, skipped, evaluated) -> Selection
         responder_sigma=sigma_y,
         subset=subset,
         subset_columns=tuple(model.predictors[j] for j in subset),
-        omega_sq_cond=omega,
+        omega_sq_cond=score,
         mse=mse,
-        r_squared=1.0 - omega,
+        r_squared=1.0 - score,
         coefficients=coeff,
         skipped_singular=skipped,
         subsets_evaluated=evaluated,

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from bestsubset import build_correlation_model, synthetic_observations
+from bestsubset import SingularMatrixError, build_correlation_model, synthetic_observations
 from bestsubset.kernels import conditional_uuc, triangulate
-from bestsubset.search import _slice, enumerate_subsets
+from bestsubset.search import ArgminWindow, enumerate_subsets
 
 
 def det_cofactor(a):
@@ -55,13 +55,41 @@ def all_cond_scores(model, k):
     out = {}
     rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
     for subset in enumerate_subsets(model.n, k):
-        rx, rhos = _slice(rx_rows, ry_rows, subset)
+        rx = [[rx_rows[i][j] for j in subset] for i in subset]
+        rhos = [[row[j] for j in subset] for row in ry_rows]
         try:
             cache = triangulate(rx)
         except Exception:
             continue
         out[subset] = [conditional_uuc(cache, rho).omega_sq for rho in rhos]
     return out
+
+
+def stack(rx, rho):
+    """Stacked (k+1) x (k+1) correlation matrix, responder last; ``rx`` is
+    copied, not consumed."""
+    return [row + [r] for row, r in zip(rx, rho)] + [rho + [1.0]]
+
+
+def scan(score, subsets, m):
+    """Reduce a subset stream into one argmin window per responder, one
+    subset at a time: the reference the block scans are tested against.
+
+    ``score(subset)`` returns the m responder scores or raises
+    SingularMatrixError, which drops the whole subset and counts it as
+    skipped. Returns (windows, skipped).
+    """
+    windows = [ArgminWindow() for _ in range(m)]
+    skipped = 0
+    for subset in subsets:
+        try:
+            scores = score(subset)
+        except SingularMatrixError:
+            skipped += 1
+            continue
+        for t in range(m):
+            windows[t].add(scores[t], subset)
+    return windows, skipped
 
 
 def guarded_instance(base_seed, rng_shape, min_rel_gap=1e-9, max_tries=60):

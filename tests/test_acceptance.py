@@ -257,18 +257,29 @@ def test_criterion_09_per_subset_speedup():
 
 
 def _check_scale_shift_invariance():
+    """Every method's winners survive a change of units: x -> x s + c with
+    s in 0.1..10 and c in -5..5 on every column, and x -> s (x + c) with
+    the responders' s at both 1e-6 and 1e6 (times 0.1..10)."""
     data, pred, resp = _fresh_instance(seed=77, d=25, n=6, m=2)
     k = 2
     base = {m: [r.subset for r in select_best(data, pred, resp, k, method=m)]
-            for m in ("cond-uncorrelation", "hat-a")}
+            for m in METHODS}
     rng = np.random.default_rng(78)
-    scaled = data.values * rng.uniform(0.1, 10.0, size=data.p)
-    scaled = scaled + rng.uniform(-5.0, 5.0, size=data.p)
-    data2 = ObservationMatrix(scaled)
-    for method, winners in base.items():
-        got = [r.subset for r in select_best(data2, pred, resp, k, method=method)]
-        if got != winners:
-            return False
+    tables = [data.values * rng.uniform(0.1, 10.0, size=data.p)
+              + rng.uniform(-5.0, 5.0, size=data.p)]
+    for exponent in (-6, 6):
+        # the shift is in the column's own units: a shift of 5 after a
+        # scale of 1e-6 would be 5e6 standard deviations, and centring
+        # such a column loses every digit of its spread
+        scale = rng.uniform(0.1, 10.0, size=data.p)
+        scale[resp] *= 10.0 ** exponent
+        tables.append((data.values + rng.uniform(-5.0, 5.0, size=data.p)) * scale)
+    for values in tables:
+        data2 = ObservationMatrix(values)
+        for method, winners in base.items():
+            got = [r.subset for r in select_best(data2, pred, resp, k, method=method)]
+            if got != winners:
+                return False
     return True
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bestsubset import cli
+from bestsubset import cli, synthetic_observations
 from bestsubset.errors import (
     ArityMismatchError,
     InternalNumericError,
@@ -364,6 +364,22 @@ def test_verify_passes_on_clean_instance(tmp_path, capsys):
     assert check["subsets_agree"] and check["mse_agree"]
     assert set(check["subsets"]) == {"cond-uncorrelation", "algorithm1",
                                      "hat-a", "hat-b"}
+
+
+def test_verify_passes_on_responders_in_tiny_units(tmp_path, capsys):
+    """Responders scaled by 1e-6 have MSEs near 1e-12, inside the absolute
+    tie window, and hat-a/hat-b picked (0, 1, 2) for every responder when
+    their windows compared the MSE (exit 10); they compare omega^2 now."""
+    x = synthetic_observations(1000, 15, seed=7).values.copy()
+    x[:, 10:] *= 1e-6
+    path = tmp_path / "tiny.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in x.tolist()))
+    code, out = run_cli(capsys, [
+        "verify", "--input", str(path), "--predictors", "0-9",
+        "--responders", "10-14", "--k", "3",
+    ])
+    assert code == 0
+    assert all(check["subsets_agree"] for check in json.loads(out)["checks"])
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from conftest import make_instance
 
 from bestsubset import (
     DesignMatrix,
+    InternalNumericError,
     SingularMatrixError,
     fit_multi,
     fit_single,
@@ -143,6 +144,19 @@ def test_collinear_design_raises():
     x = list(np.random.default_rng(29).standard_normal(15))
     with pytest.raises(SingularMatrixError):
         fit_single(DesignMatrix([x, x]), list(range(15)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_design_column_is_an_error():
+    """A design column near 1e160 overflows its squared norm: the fit
+    raises, naming the column, where it returned NaN mse and betas with
+    only a RuntimeWarning."""
+    z, y = np.random.default_rng(31).standard_normal((2, 20))
+    for ordering in ("a", "b"):
+        with pytest.raises(InternalNumericError, match="column 0 "):
+            fit_multi(DesignMatrix([list(1e160 + 1e150 * z)]), [list(y)], ordering)
+    with pytest.raises(InternalNumericError, match="column 0 "):
+        fit_single(DesignMatrix([list(1e160 + 1e150 * z)]), list(y))
 
 
 def test_unknown_ordering_rejected():

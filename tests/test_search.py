@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import all_cond_scores, make_instance
+from conftest import all_cond_scores, make_instance, scan, stack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from bestsubset import (
 from bestsubset import cli
 from bestsubset.gauss import solve_symmetric
 from bestsubset.hat import assemble_xtx, assemble_xty, scan_fit_a, scan_fit_b
+from bestsubset.kernels import omega_sq_stacked
 from bestsubset.search import METHODS, ArgminWindow, enumerate_subsets, slice_correlations
 
 
@@ -248,17 +250,18 @@ def test_factorisation_amortised_once_per_subset(monkeypatch):
 
 def test_select_best_keeps_one_copy_of_the_model():
     """The correlation model is stored once, as an array: no whole-model
-    list mirror outside algorithm1's per-subset scorer (which alone would
-    cost about 4x the matrix's bytes)."""
+    list mirror, which alone would cost about 4x the matrix's bytes (the
+    one-subset-at-a-time algorithm1 scan read 5.12x)."""
     n, m = 150, 2
     data = synthetic_observations(100, n + m, seed=5)
-    tracemalloc.start()
-    try:
-        select_best(data, range(n), [n, n + 1], 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * (n + m) ** 2 * 8
+    for method in ("cond-uncorrelation", "algorithm1"):
+        tracemalloc.start()
+        try:
+            select_best(data, range(n), [n, n + 1], 1, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (n + m) ** 2 * 8, method
 
 
 def _collinear_shifted_instance(seed):
@@ -315,6 +318,9 @@ def test_omega_beyond_tolerance_aborts_the_scan():
     data, pred, resp, k = _negative_omega_instance()
     with pytest.raises(InternalNumericError, match=r"^conditional_uuc = -2\.60217"):
         select_best(data, pred, resp, k, method="cond-uncorrelation")
+    with pytest.raises(InternalNumericError,
+                       match=r"^omega_sq_stacked = -2\.60217074277147e-09 is outside"):
+        select_best(data, pred, resp, k, method="algorithm1")
 
 
 def test_range_check_runs_before_the_argmin():
@@ -354,10 +360,10 @@ def _reference_scan(model, k):
 
 
 @st.composite
-def _scan_instances(draw):
+def _scan_instances(draw, kinds=("noise", "duplicate", "collinear")):
     """(data, pred, resp, k): noise, duplicated columns, or the
     near-collinear shifted fuzz instance, with k drawn, 1, n or d-1."""
-    kind = draw(st.sampled_from(("noise", "duplicate", "collinear")))
+    kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**16))
     if kind == "collinear":
         data, pred, resp, k = _collinear_shifted_instance(seed)
@@ -410,10 +416,101 @@ def test_batched_scan_matches_scalar_reference(instance, block):
         assert r.subsets_evaluated == math.comb(model.n, k) - skipped
 
 
+def _alg1_reference(model, k):
+    """algorithm1 one subset at a time: every admissible subset's leaf
+    omega^2 from the scalar ``omega_sq_stacked``, and the windows and skip
+    count of the reference scan over them."""
+    rx_rows, ry_rows = model.rx.tolist(), model.ry.tolist()
+    scores = {}
+
+    def score(subset):
+        rx = [[rx_rows[i][j] for j in subset] for i in subset]
+        scores[subset] = [omega_sq_stacked(stack(rx, [row[j] for j in subset]))
+                          for row in ry_rows]
+        return scores[subset]
+
+    windows, skipped = scan(score, enumerate_subsets(model.n, k), model.m)
+    return scores, windows, skipped
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scan_instances(), st.sampled_from((1, search.LSQ_FLOATS)))
+@example(_negative_omega_instance(), 1)
+@example(_negative_omega_instance(), search.LSQ_FLOATS)
+@example(_collinear_shifted_instance(0), 1)
+@example(_collinear_shifted_instance(12), search.LSQ_FLOATS)
+def test_algorithm1_block_matches_scalar_kernel(instance, floats):
+    """algorithm1's block scorer gives every leaf omega^2 of the scalar
+    ``omega_sq_stacked`` bit for bit, so the winners, skips and counts of
+    scoring one subset at a time, whether a block holds one subset or the
+    default number; where the scalar scan aborts on a leaf outside
+    [0, 1], the block scan aborts with the same message."""
+    data, pred, resp, k = instance
+    model = build_correlation_model(data, pred, resp)
+    total = math.comb(model.n, k)
+    subsets = np.array(list(enumerate_subsets(model.n, k)), dtype=np.intp)
+    try:
+        ref_scores, windows, skipped = _alg1_reference(model, k)
+    except InternalNumericError as err:
+        message = f"^{re.escape(str(err))}$"
+        with pytest.raises(InternalNumericError, match=message):
+            search._alg1_block(model.rx, model.ry, subsets)
+        with pytest.MonkeyPatch.context() as mp, \
+                pytest.raises(InternalNumericError, match=message):
+            mp.setattr(search, "LSQ_FLOATS", floats)
+            select_best(data, pred, resp, k, method="algorithm1")
+        return
+    omega, singular = search._alg1_block(model.rx, model.ry, subsets)
+    for subset, row, skip in zip(map(tuple, subsets.tolist()), omega, singular):
+        assert skip == (subset not in ref_scores)
+        if not skip:
+            assert row.tobytes() == np.array(ref_scores[subset]).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "LSQ_FLOATS", floats)
+        if skipped == total:
+            with pytest.raises(NoValidSubsetError):
+                select_best(data, pred, resp, k, method="algorithm1")
+            return
+        res = select_best(data, pred, resp, k, method="algorithm1")
+    for window, r in zip(windows, res):
+        score, subset = window.winner()
+        assert r.subset == subset
+        assert r.omega_sq_cond == score
+        assert r.skipped_singular == skipped
+        assert r.subsets_evaluated == total - skipped
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_scan_instances(("noise", "duplicate")), st.integers(0, 2**16))
+def test_winners_do_not_depend_on_responder_units(instance, seed):
+    """Every method picks the same subsets, skips and counts after each
+    responder y becomes s * (y + c), with s in 1e-6..1e6 and c in -5..5:
+    all tie windows compare omega^2, which has no unit. When hat-* ranked
+    the raw MSE, 2 of these 100 draws changed a hat-a or hat-b winner."""
+    data, pred, resp, k = instance
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 6, len(resp))
+    shift = rng.uniform(-5, 5, len(resp))
+    values = data.values.copy()
+    values[:, resp] = (values[:, resp] + shift) * scale
+    for method in METHODS:
+        picks = []
+        for table in (data, ObservationMatrix(values)):
+            try:
+                res = select_best(table, pred, resp, k, method=method)
+            except NoValidSubsetError as err:
+                picks.append(type(err))
+                continue
+            picks.append([(r.subset, r.skipped_singular, r.subsets_evaluated) for r in res])
+        assert picks[0] == picks[1], method
+
+
 def _lsq_reference(data, pred, resp, k, method):
     """Every subset's scalar least-squares score, and the windows and skip
-    count of :func:`search._scan` over them."""
+    count of the one-subset reference scan over them, fed each MSE over
+    its responder's variance as ``select_best`` feeds them."""
     tables = hat._gram(hat._stacked(data, pred, resp), len(pred))
+    sigma = build_correlation_model(data, pred, resp).resp_sigma
     d, m = data.d, len(resp)
     cols = [[1.0] * d] + [data.column_list(c) for c in pred]
     ys = [data.column_list(c) for c in resp]
@@ -425,9 +522,9 @@ def _lsq_reference(data, pred, resp, k, method):
         sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
         sses = fit(assemble_xtx(tables, subset), xtys, sub_cols, ys, d)[0]
         scores[subset] = [sse / d for sse in sses]
-        return scores[subset]
+        return [mse / (s * s) for mse, s in zip(scores[subset], sigma)]
 
-    windows, skipped = search._scan(score, enumerate_subsets(len(pred), k), m)
+    windows, skipped = scan(score, enumerate_subsets(len(pred), k), m)
     return scores, windows, skipped
 
 
@@ -449,7 +546,8 @@ def _overflowing_gram_instance(col=2, k=2):
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_batched_least_squares_matches_scalar_fit(instance, floats):
     """Every batched hat-a/hat-b score is bit-identical to the scalar fit,
-    and so are the skips, the winners and everything reported of them,
+    and so are the skips, the winners (ranked by MSE over the responder's
+    variance) and everything reported of them,
     whether a block holds one subset or the default number, and when some
     scores are NaN (tables built past the overflow check, which
     ``select_best`` applies)."""
@@ -481,7 +579,8 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
             beta = solve_symmetric(assemble_xtx(tables, subset),
                                    assemble_xty(tables, subset, t))
             assert r.subset == subset
-            assert r.mse == score
+            assert r.omega_sq_cond == score
+            assert r.mse == ref_scores[subset][t]
             assert (r.coefficients.beta0, r.coefficients.betas) == (beta[0], tuple(beta[1:]))
             assert r.skipped_singular == skipped
             assert r.subsets_evaluated == total - skipped

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import stack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from bestsubset import (
     synthetic_observations,
 )
 from bestsubset import cli
-from bestsubset.search import _stack, slice_correlations
+from bestsubset.search import slice_correlations
 from bestsubset.stats import _dots
 from bestsubset.tolerances import EPS_NUM, _clamp
 
@@ -160,7 +161,7 @@ def test_correlation_matrix_submatrix_bit_identical():
     # pairwise computation with the responder moved last
     model = build_correlation_model(data, [0, 1, 2, 3, 4], [5, 6])
     for subset, t in (((0,), 0), ((1, 3), 1), ((0, 2, 4), 0), ((0, 1, 2, 3, 4), 1)):
-        stacked = _stack(*slice_correlations(model, subset, t))
+        stacked = stack(*slice_correlations(model, subset, t))
         cols = [model.predictors[j] for j in subset] + [model.responders[t]]
         assert np.array_equal(np.array(stacked), correlation_matrix(data, cols))
 
