@@ -44,7 +44,7 @@ from .errors import (
     VerificationFailure,
     ZeroVarianceColumn,
 )
-from .opcount import COUNT_METHODS, count_table, format_count_table  # noqa: F401
+from .opcount import count_table, format_count_table
 from .search import METHODS, select_best
 from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
@@ -103,9 +103,10 @@ def ingest_csv(path: str):
     """Read an RFC-4180-style CSV into an ObservationMatrix.
 
     Each cell is a number in Python ``float`` syntax, surrounding
-    whitespace allowed; fully blank lines are ignored. The first
-    non-blank record is a header supplying column names if any of its
-    cells fails to parse as a number; otherwise every record is data.
+    whitespace allowed; fully blank lines and a leading UTF-8 byte-order
+    mark are ignored. The first non-blank record is a header supplying
+    column names if any of its cells fails to parse as a number;
+    otherwise every record is data (see :func:`_header`).
     Returns (matrix, names) with names None when there was no header.
     Row/column positions in errors are 1-based, count the header row and
     skip blank lines.
@@ -144,23 +145,37 @@ def _parse_cell(cell, rownum, colnum):
     return value
 
 
+def _header(record):
+    """The first record's names, or None when it is data.
+
+    Cells are read left to right up to the first that is not a finite
+    number: if it does not parse, the record is a header; if it is
+    non-finite, its NonFiniteValueError is raised, header or not.
+    """
+    try:
+        for j, cell in enumerate(record):
+            _parse_cell(cell, 1, j + 1)
+    except NonFiniteValueError:
+        raise
+    except ParseError:
+        return [c.strip() for c in record]
+    return None
+
+
 def _ingest_fast(path: str):
     """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             # the reference's first record; numpy reads on from the handle
             first = next(filter(None, csv.reader(fh)), None)
             if first is None:
                 return None
             try:
-                for j, cell in enumerate(first):
-                    _parse_cell(cell, 1, j + 1)
-                names = None
-                fh.seek(0)  # the first record is data: numpy reads it too
+                names = _header(first)
             except NonFiniteValueError:
                 return None
-            except ParseError:
-                names = [c.strip() for c in first]
+            if names is None:
+                fh.seek(0)  # the first record is data: numpy reads it too
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows
                 values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
@@ -176,7 +191,7 @@ def _ingest_fast(path: str):
 def _ingest_reference(path: str):
     """``ingest_csv`` one cell at a time through ``float``: the reference."""
     raw = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             for row in filter(None, csv.reader(fh)):  # skip fully blank lines
                 raw.append(row)
@@ -185,25 +200,16 @@ def _ingest_reference(path: str):
     if not raw:
         raise ParseError(f"{path}: file contains no data")
 
-    names = None
-    start = 0
-    try:
-        first = [_parse_cell(c, 1, j + 1) for j, c in enumerate(raw[0])]
-        rows = [first]
-    except NonFiniteValueError:
-        raise
-    except ParseError:
-        names = [c.strip() for c in raw[0]]
-        rows = []
-        start = 1
+    names = _header(raw[0])
+    start = 0 if names is None else 1
     width = len(raw[start]) if start < len(raw) else len(raw[0])
+    rows = []
     for i in range(start, len(raw)):
         row = raw[i]
         if len(row) != width:
             raise ArityMismatchError(
                 f"expected {width} cells, found {len(row)}", row=i + 1)
-        if i > start or not rows:
-            rows.append([_parse_cell(c, i + 1, j + 1) for j, c in enumerate(row)])
+        rows.append([_parse_cell(c, i + 1, j + 1) for j, c in enumerate(row)])
     if names is not None and len(names) != width:
         raise ArityMismatchError(
             f"header has {len(names)} names but rows have {width} cells", row=1)
@@ -451,7 +457,7 @@ _COUNT_ROWS = {"cond-uncorrelation": "alg2", "algorithm1": "alg1",
                "hat-a": "hat-a", "hat-b": "hat-b"}
 
 
-def run_bench(d, n, k, m, seed, limit, methods=METHODS):
+def run_bench(d, n, k, m, seed, limit):
     """Time full enumerations per method on one synthetic instance.
 
     Two ratios over hat-b are reported per method: ``speedup_vs_hat_b``,
@@ -464,7 +470,7 @@ def run_bench(d, n, k, m, seed, limit, methods=METHODS):
     nsub = math.comb(n, k)
     timings = []
     winners = []
-    for method in methods:
+    for method in METHODS:
         t0 = time.perf_counter()
         results = select_best(data, pred, resp, k, method=method, pair_limit=limit)
         wall = time.perf_counter() - t0
@@ -485,12 +491,10 @@ def run_bench(d, n, k, m, seed, limit, methods=METHODS):
         "subsets": nsub,
         "timings": timings,
         "speedup_vs_hat_b": {
-            meth: per["hat-b"] / per[meth]
-            for meth in methods
-            if "hat-b" in per and per[meth] > 0
+            meth: per["hat-b"] / per[meth] for meth in METHODS if per[meth] > 0
         },
         "op_ratio_vs_hat_b": {
-            meth: ops["hat-b"] / ops[_COUNT_ROWS[meth]] for meth in methods
+            meth: ops["hat-b"] / ops[_COUNT_ROWS[meth]] for meth in METHODS
         },
         "winners_agree": len(set(winners)) == 1,
         "counts": counts,

@@ -2,10 +2,12 @@
 
 The selling point of the determinant-ratio method is its operation
 count, so the count has to be measured, not asserted. This module wraps
-scalar values in a counting type and pushes them through the very same
-kernel functions production uses; every +, - (counted as an addition),
-* and / is tallied. Comparisons, copies, abs and index arithmetic are
-free, matching how the reference counts are stated.
+the arrays production reads (the correlation model, or the Gram matrix
+and the rows [1; X; Y]) in a counting type, with one ``np.vectorize``
+per measurement, and pushes them through the very same kernel functions
+production uses; every +, - (counted as an addition), * and / is
+tallied. Comparisons, copies, abs and index arithmetic are free,
+matching how the reference counts are stated.
 
 Counting conventions worth knowing before reading the numbers:
 
@@ -158,14 +160,6 @@ def counted(value, tally: CountingTally) -> _Counted:
     return _Counted(float(value), tally)
 
 
-def _wrap_vec(vec, t):
-    return [_Counted(float(v), t) for v in vec]
-
-
-def _wrap_mat(mat, t):
-    return [[_Counted(float(v), t) for v in row] for row in mat]
-
-
 # ---------------------------------------------------------------------------
 # closed-form predictions
 # ---------------------------------------------------------------------------
@@ -227,37 +221,38 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
 # measurement
 # ---------------------------------------------------------------------------
 
-def _run_counted(method, model, tables, cols, ys, k, m, tally):
-    # the scored subset range(k) is the whole k-predictor model
+def _run_counted(method, data, model, k, m, tally):
+    # the scored subset range(k) is the whole k-predictor model, and every
+    # kernel reads counting copies of the arrays production reads
     subset = tuple(range(k))
+    wrap = np.vectorize(lambda x: counted(x, tally), otypes=[object])
     if method == "alg1":
         # the block's first k pivots are these, so a draw it would skip raises
         factor_symmetric(model.rx.tolist(), k)
-        wrap = np.vectorize(lambda x: counted(x, tally), otypes=[object])
         _alg1_block(wrap(model.rx), wrap(model.ry), np.array([subset]))
     elif method == "alg2":
-        cache = triangulate(_wrap_mat(model.rx.tolist(), tally))
-        for rho in model.ry.tolist():
-            conditional_uuc(cache, _wrap_vec(rho, tally))
+        cache = triangulate(wrap(model.rx).tolist())
+        for rho in wrap(model.ry).tolist():
+            conditional_uuc(cache, rho)
     else:
-        xtx = _wrap_mat(hat.assemble_xtx(tables, subset), tally)
-        xtys = [_wrap_vec(hat.assemble_xty(tables, subset, t), tally) for t in range(m)]
-        wcols = [_wrap_vec(c, tally) for c in cols]
-        wys = [_wrap_vec(y, tally) for y in ys]
-        if method == "hat-b":
-            hat.scan_fit_b(xtx, xtys, wcols, wys, tables.d)
-        else:
-            hat.scan_fit_a(xtx, xtys, wcols, wys, tables.d)
+        pred, resp = range(k), range(k, k + m)
+        rows = hat._stacked(data, pred, resp)
+        g = wrap(hat._checked_gram(rows, pred, resp).g)
+        # [1; X] is rows 0..k of the Gram matrix, and responder t row k+1+t
+        xtx, xtys = g[:k + 1, :k + 1].tolist(), g[k + 1:, :k + 1].tolist()
+        rows = wrap(rows)
+        fit = hat.scan_fit_b if method == "hat-b" else hat.scan_fit_a
+        fit(xtx, xtys, rows[:k + 1].tolist(), rows[k + 1:].tolist(), data.d)
 
 
 def measure_counts(method: str, k: int, d: int = 30, m: int = 1,
-                   trials: int = 3, seed: int = 0) -> OpTally:
+                   seed: int = 0) -> OpTally:
     """Execute one scored subset with counting scalars and return the tally.
 
-    Runs ``trials`` times on fresh random data and insists the tallies
-    agree: the kernels are straight-line given the shape, so any
-    disagreement means a data-dependent branch crept in. Random inputs
-    that happen to be singular are regenerated.
+    Runs three times on fresh random data and insists the tallies agree:
+    the kernels are straight-line given the shape, so any disagreement
+    means a data-dependent branch crept in. Random inputs that happen to
+    be singular are regenerated.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown count method {method!r}")
@@ -267,26 +262,18 @@ def measure_counts(method: str, k: int, d: int = 30, m: int = 1,
         raise ValueError(f"need d >= k+2 observations, got d={d}, k={k}")
     tallies = []
     attempt = 0
-    while len(tallies) < trials and attempt < trials + 20:
+    while len(tallies) < 3 and attempt < 23:
         data = synthetic_observations(d, k + m, seed=seed + 7919 * attempt)
         attempt += 1
-        pred = tuple(range(k))
-        resp = tuple(range(k, k + m))
         try:
-            model = build_correlation_model(data, pred, resp)
-            tables = None
-            cols = ys = None
-            if method.startswith("hat"):
-                tables = hat.gram_products(data, pred, resp)
-                cols = [[1.0] * d] + [data.column_list(c) for c in pred]
-                ys = [data.column_list(c) for c in resp]
+            model = build_correlation_model(data, range(k), range(k, k + m))
             tally = CountingTally()
             _run_counted("hat-a" if method == "hat-single" else method,
-                         model, tables, cols, ys, k, m, tally)
+                         data, model, k, m, tally)
         except SingularMatrixError:
             continue
         tallies.append(tally.snapshot())
-    if len(tallies) < trials:
+    if len(tallies) < 3:
         raise InternalNumericError("could not generate enough nonsingular instances")
     if any(t != tallies[0] for t in tallies[1:]):
         raise InternalNumericError(

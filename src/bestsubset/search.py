@@ -1,10 +1,12 @@
 """Exhaustive subset search over all k-of-n predictor subsets.
 
-Candidates are enumerated in lexicographic index order. The production
+Every method streams blocks of admissible subsets with their omega^2
+into one argmin driver, which keeps the per-responder windows and counts
+the subsets scored; the rest of the C(n, k) were skipped. The production
 method, cond-uncorrelation, walks the subset tree level by level: each
 j-subset keeps its LDL^T factor, and every extension by one more column
 reuses that factor for a rank-one step, a block of extensions at a time
-in numpy. The per-subset methods share one block driver: algorithm1
+in numpy. The per-subset methods stream lexicographic blocks: algorithm1
 triangulates each subset's stacked matrix per responder, and the
 least-squares baselines (hat-a, hat-b) pay each subset's full fit,
 including a pass over all d observations. Every block score is
@@ -120,21 +122,28 @@ class ArgminWindow:
 # the subset scans
 # ---------------------------------------------------------------------------
 
-def _reduce(windows, subsets, scores):
-    """Feed one block of scored subsets to the per-responder windows.
+def _argmin(blocks, m):
+    """Reduce a stream of scored blocks into the m per-responder windows.
 
-    ``subsets`` is b x k, ``scores`` b x m, skipped subsets already left
-    out. Only leaves within TIE_EPS of the block's minimum are handed
-    on; every possible winner is among them, so the lexicographic
-    tie-break stays exact across blocks. A NaN score is never handed on:
-    it could not win a window anyway, unless it came first, where it
-    would leave no winner at all.
+    Each block is (subsets, scores): b x k admissible subsets and their
+    b x m omega^2, every skipped subset already left out, so a scan's
+    skip count is C(n, k) minus the ``scored`` returned with the windows.
+    Only leaves within TIE_EPS of a block's minimum are handed on; every
+    possible winner is among them, so the lexicographic tie-break stays
+    exact across blocks. A NaN score is never handed on: it could not
+    win a window anyway, unless it came first, where it would leave no
+    winner at all. Returns (windows, scored).
     """
-    if not len(scores):
-        return
-    near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
-    for i, t in zip(*np.nonzero(near)):
-        windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
+    windows = [ArgminWindow() for _ in range(m)]
+    scored = 0
+    for subsets, scores in blocks:
+        if not len(scores):
+            continue
+        scored += len(scores)
+        near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
+        for i, t in zip(*np.nonzero(near)):
+            windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
+    return windows, scored
 
 
 def _range_check(omega, what):
@@ -149,8 +158,8 @@ def _range_check(omega, what):
 BLOCK = 512
 
 
-def _scan_batched(rx, ry, k):
-    """Reduce every k-subset's conditional squared UUC into argmin windows.
+def _tree_blocks(rx, ry, k):
+    """Blocks of admissible k-subsets and their conditional squared UUCs.
 
     ``rx`` is the n x n predictor correlation matrix and ``ry`` the m x n
     responder rows. The subset tree is walked depth first, one block of
@@ -167,21 +176,10 @@ def _scan_batched(rx, ry, k):
     omega drops by its square over the pivot. A pivot below EPS_PIV skips
     the extension and every subset below it, as in the scalar kernel.
     Leaf omega^2 outside [0, 1] go through the shared range check before
-    the argmin, so perfect fits tie at 0.0; :func:`_reduce` then feeds
-    the windows.
-
-    Returns (windows, skipped) like :func:`_scan_blocks`.
+    a leaf block is yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
     """
     m, n = ry.shape
     rho = np.ascontiguousarray(ry.T)
-    windows = [ArgminWindow() for _ in range(m)]
-    evaluated = 0
-
-    def reduce(subsets, omega):
-        nonlocal evaluated
-        evaluated += len(subsets)
-        _range_check(omega, "conditional_uuc")
-        _reduce(windows, subsets, omega)
 
     def extend(subsets, u, v, dinv, omega):
         j = subsets.shape[1]
@@ -207,20 +205,20 @@ def _scan_batched(rx, ry, k):
             child = np.column_stack((subsets[p], c))
             child_omega = omega[p] - vc * vc / pivot[:, None]
             if j + 1 == k:
-                reduce(child, child_omega)
+                _range_check(child_omega, "conditional_uuc")
+                yield child, child_omega
                 continue
             up = u[p]
             row = rx[c] - np.einsum("ij,ijq->iq", g, up)
-            extend(child,
-                   np.concatenate((up, row[:, None, :]), axis=1),
-                   np.concatenate((vp, vc[:, None, :]), axis=1),
-                   np.column_stack((dinv[p], 1.0 / pivot)),
-                   child_omega)
+            yield from extend(child,
+                              np.concatenate((up, row[:, None, :]), axis=1),
+                              np.concatenate((vp, vc[:, None, :]), axis=1),
+                              np.column_stack((dinv[p], 1.0 / pivot)),
+                              child_omega)
 
     # the walk starts from the empty subset: no factor yet, and omega 1
-    extend(np.empty((1, 0), dtype=np.intp), np.empty((1, 0, n)),
-           np.empty((1, 0, m)), np.empty((1, 0)), np.ones((1, m)))
-    return windows, math.comb(n, k) - evaluated
+    yield from extend(np.empty((1, 0), dtype=np.intp), np.empty((1, 0, n)),
+                      np.empty((1, 0, m)), np.empty((1, 0)), np.ones((1, m)))
 
 
 # Floats per temporary of the block scans: a block holds about
@@ -231,28 +229,24 @@ def _scan_batched(rx, ry, k):
 LSQ_FLOATS = 2**15
 
 
-def _scan_blocks(score_block, n, k, m, block):
-    """Reduce every k-subset's score into argmin windows, a block at a time.
+def _lex_blocks(score_block, n, k, block):
+    """Blocks of admissible k-subsets and their scores, in lexicographic order.
 
-    ``score_block`` takes a b x k array of lexicographic subsets and
-    returns their b x m scores and the b-mask of those with a predictor
-    pivot below EPS_PIV, which are counted as skipped and never read.
-    Returns (windows, skipped).
+    ``score_block`` takes a b x k array of subsets and returns their
+    b x m scores and the b-mask of those with a predictor pivot below
+    EPS_PIV, which are dropped unread.
     """
-    windows = [ArgminWindow() for _ in range(m)]
-    skipped = 0
     stream = enumerate_subsets(n, k)
     while True:
         subsets = np.array(list(itertools.islice(stream, max(block, 1))), dtype=np.intp)
         if not len(subsets):
-            return windows, skipped
+            return
         scores, singular = score_block(subsets)
-        skipped += int(singular.sum())
-        _reduce(windows, subsets[~singular], scores[~singular])
+        yield subsets[~singular], scores[~singular]
 
 
 def _alg1_block(rx, ry, subsets):
-    """algorithm1's omega^2 of one block of subsets, for :func:`_scan_blocks`.
+    """algorithm1's omega^2 of one block of subsets, for :func:`_lex_blocks`.
 
     The stacked matrices, responder last, form one q x q x b x m array in
     ``rx.dtype`` (``opcount`` runs this on counting scalars). After
@@ -419,18 +413,20 @@ def select_best(
     model = build_correlation_model(data, pred, resp)
     tables = None
     if method == "cond-uncorrelation":
-        windows, skipped = _scan_batched(model.rx, model.ry, k)
+        blocks = _tree_blocks(model.rx, model.ry, k)
     elif method == "algorithm1":
         score = partial(_alg1_block, model.rx, model.ry)
-        windows, skipped = _scan_blocks(score, n, k, m, LSQ_FLOATS // ((k + 1) * m))
+        blocks = _lex_blocks(score, n, k, LSQ_FLOATS // ((k + 1) * m))
     else:
         rows = hat._stacked(data, pred, resp)
         tables = hat._checked_gram(rows, pred, resp)
         sigma_sq = np.square(model.resp_sigma)
         score = partial(_lsq_block, tables, rows, method=method, sigma_sq=sigma_sq)
         block = max(LSQ_FLOATS // (max(m, k + 1) * data.d), 1)
-        windows, skipped = _scan_blocks(score, n, k, m, block)
-    if skipped == total:
+        blocks = _lex_blocks(score, n, k, block)
+    windows, scored = _argmin(blocks, m)
+    skipped = total - scored
+    if not scored:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
@@ -442,7 +438,7 @@ def select_best(
         subsets = np.array([s for _, s in winners])
         mse = np.concatenate([_lsq_block(tables, rows, subsets[lo:lo + block], method)[0]
                               for lo in range(0, m, block)]).diagonal().tolist()
-    return [_finalise(model, method, tables, mse[t], *winners[t], t, skipped, total - skipped)
+    return [_finalise(model, method, tables, mse[t], *winners[t], t, skipped, scored)
             for t in range(m)]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bestsubset import cli, synthetic_observations
+from bestsubset import cli, opcount, synthetic_observations
 from bestsubset.errors import (
     ArityMismatchError,
     InternalNumericError,
@@ -108,6 +108,37 @@ def test_ingest_too_few_rows(tmp_path):
         cli.ingest_csv(write_csv(tmp_path, "", name="empty.csv"))
 
 
+def _bom_csv(tmp_path, text):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return str(path)
+
+
+def test_byte_order_mark_before_a_header_is_ignored(tmp_path, capsys):
+    """A UTF-8 byte-order mark used to stick to the first name, so
+    ``--predictors x0,x1`` could not resolve 'x0' (exit 2)."""
+    path = _bom_csv(tmp_path, "x0,x1,y\n1,2,3\n4,5,7\n2,1,0\n")
+    code, out = run_cli(capsys, ["select", "--input", path, "--predictors", "x0,x1",
+                                 "--responders", "y", "--k", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["d"] == 3
+    assert report["records"][0]["subset"] == ["x1"]
+
+
+def test_byte_order_mark_before_data_is_ignored(tmp_path, capsys):
+    """With no header, the mark made the first data row a header of names
+    such as '\\ufeff1' and dropped that row without a word."""
+    path = _bom_csv(tmp_path, "1,2,3\n4,5,7\n2,1,0\n5,3,1\n")
+    code, out = run_cli(capsys, ["select", "--input", path, "--predictors", "0,1",
+                                 "--responders", "2", "--k", "1"])
+    assert code == 0
+    assert json.loads(out)["d"] == 4
+    data, names = cli.ingest_csv(path)
+    assert names is None
+    assert data.values[0].tolist() == [1.0, 2.0, 3.0]
+
+
 def _ingest_outcome(reader, path):
     """What a parser makes of a file: its table and names, or its error."""
     try:
@@ -196,6 +227,8 @@ def csv_file(tmp_path_factory):
 @example("\n\n")
 @example(f"a,b,y\n{_LONG_CELL},2,3\n1_000,5,6\n")
 @example(f"{_LONG_CELL},2\n3,4\n5,6\n")
+@example("\ufeffa,b\n1,2\n3,4\n")
+@example("\ufeff1,2\n3,4\n5,6\n")
 def test_ingest_fast_path_matches_reference_parser(csv_file, text):
     path = csv_file(text)
     expected = _ingest_outcome(cli._ingest_reference, path)
@@ -460,7 +493,7 @@ def test_count_ops_formats(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("method,k,d,m,")
-    assert len(lines) == 1 + 3 * len(cli.COUNT_METHODS)
+    assert len(lines) == 1 + 3 * len(opcount.COUNT_METHODS)
     code, out = run_cli(capsys, ["count-ops", "--k", "2", "--m", "2"])
     assert code == 0
     assert "alg2" in out and "hat-b" in out

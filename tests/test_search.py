@@ -328,9 +328,9 @@ def test_range_check_runs_before_the_argmin():
     argmin, so it ties with an exact 0.0 and the smaller subset wins."""
     rx = np.eye(2)
     ry = np.array([[1.0, 1.0 + 2.5e-10]])  # omega^2 = 0.0 and about -5e-10
-    windows, skipped = search._scan_batched(rx, ry, 1)
+    windows, scored = search._argmin(search._tree_blocks(rx, ry, 1), 1)
     assert windows[0].winner() == (0.0, (0,))
-    assert skipped == 0
+    assert scored == 2
 
 
 def test_perfect_fit_reports_zero_and_lexicographic_winner():
@@ -404,9 +404,9 @@ def test_batched_scan_matches_scalar_reference(instance, block):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "BLOCK", block)
-        windows, batched_skipped = search._scan_batched(model.rx, model.ry, k)
+        windows, scored = search._argmin(search._tree_blocks(model.rx, model.ry, k), model.m)
         res = select_best(data, pred, resp, k)
-    assert batched_skipped == skipped
+    assert math.comb(model.n, k) - scored == skipped
     for (score, subset), window, r in zip(ref, windows, res):
         got_score, got_subset = window.winner()
         assert got_subset == subset == r.subset
@@ -603,9 +603,9 @@ def test_least_squares_scan_memory_is_bounded():
 def test_nan_scores_never_win():
     """A NaN heading a window left it no winner (a ValueError from min());
     it is never handed on, so the finite scores decide."""
-    windows = [ArgminWindow(), ArgminWindow()]
     subsets = np.array([[0], [1], [2]])
-    search._reduce(windows, subsets, np.array([[np.nan, 0.5], [0.25, np.nan], [0.5, 0.75]]))
+    scores = np.array([[np.nan, 0.5], [0.25, np.nan], [0.5, 0.75]])
+    windows, _ = search._argmin([(subsets, scores)], 2)
     assert [w.winner() for w in windows] == [(0.25, (1,)), (0.5, (0,))]
 
 
