@@ -222,14 +222,19 @@ def _ingest_reference(path: str):
 
 
 def parse_column_spec(spec: str, names, p: int, what: str):
-    """Resolve a comma list of names, 0-based indices or a-b index ranges."""
+    """Resolve a comma list of names, 0-based indices or a-b index ranges.
+    A name that labels several columns is an error, as the report could
+    not tell them apart."""
     out = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         if names is not None and token in names:
-            out.append(names.index(token))
+            hits = [i for i, name in enumerate(names) if name == token]
+            if len(hits) > 1:
+                raise ValueError(f"{what}: name {token!r} labels columns {hits}")
+            out.append(hits[0])
             continue
         if token.isdigit():
             out.append(int(token))

@@ -1,11 +1,11 @@
-"""Scalar Gaussian elimination primitives for symmetric systems.
+"""Gaussian elimination primitives for symmetric systems.
 
-These run on plain Python scalars stored in lists of lists. They are kept
-free of numpy on purpose: the operation-count harness executes the exact
-same functions with an instrumented value type, so what is measured is
-what production runs. :func:`forward_apply` and :func:`back_substitute`
-only index and do arithmetic, so the batched least-squares scan runs
-them unchanged on entries that are numpy arrays, one element per subset.
+The scalar functions run on Python scalars in lists of lists, so the
+operation-count harness executes them with an instrumented value type.
+:func:`forward_apply` and :func:`back_substitute` only index and do
+arithmetic, so the block scans run them unchanged on numpy entries, one
+element per subset; :func:`_eliminate_block` is :func:`_eliminate` across
+such a block, bit for bit.
 
 Only the upper triangle (including the diagonal) of the input matrix is
 referenced or updated; symmetry supplies the lower triangle. No pivoting
@@ -16,6 +16,8 @@ right hand sides follow.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import SingularMatrixError
 from .tolerances import EPS_PIV
@@ -50,6 +52,28 @@ def _eliminate(a, n):
             for p in range(j, n):
                 row_j[p] = row_j[p] - row_i[p] * temp
     return mult, recips
+
+
+def _eliminate_block(a, q):
+    """:func:`_eliminate` across a q x q x b x m block ``a``, in place.
+
+    Where the scalar elimination raises on a pivot below EPS_PIV, this
+    marks the entry in the returned b x m ``singular`` mask and carries
+    on; later steps of that entry are never read.
+    """
+    mult = [[None] * q for _ in range(q)]
+    recips = [None] * q
+    singular = np.zeros(a.shape[2:], dtype=bool)
+    for i in range(q - 1):
+        pivot = a[i, i]
+        singular |= np.abs(pivot) < EPS_PIV
+        recip = 1.0 / pivot
+        recips[i] = recip
+        for j in range(i + 1, q):
+            temp = a[i, j] * recip
+            mult[i][j] = temp
+            a[j, j:] = a[j, j:] - a[i, j:] * temp
+    return mult, recips, singular
 
 
 def factor_symmetric(a, n):

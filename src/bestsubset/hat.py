@@ -14,13 +14,12 @@ streams each responder's X^T y through it, which never forms
 coefficients at all. Both are exposed; their operation profiles differ
 and are tracked by the counting harness.
 
-As in the kernels module, the per-subset arithmetic is written as scalar
-loops over nested lists so the counting harness can execute the same
-code paths. These scalar fits are the operation-count reference and
-back :func:`fit_multi`; the subset scan of ``select_best`` runs the
-same operations, in the same order, elementwise across numpy blocks of
-subsets (``search._lsq_block``), so its scores are bit-identical to
-:func:`scan_fit_a` and :func:`scan_fit_b`.
+One block kernel, :func:`_residual_block`, fits numpy blocks of subsets
+for both the ``hat-*`` scan (:func:`_lsq_block`) and :func:`fit_multi`.
+It runs the scalar fits' operations in their order, elementwise across
+the block, so its sums of squares are :func:`scan_fit_a`'s and
+:func:`scan_fit_b`'s bit for bit; those remain only as the op-count
+reference and the per-subset timing probe.
 """
 
 from __future__ import annotations
@@ -30,8 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalNumericError
-from .gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
+from .gauss import _eliminate_block, back_substitute, factor_symmetric, forward_apply
+from .gauss import solve_symmetric
 from .stats import _dots
+from .tolerances import EPS_PIV
 
 __all__ = [
     "GramTables",
@@ -103,10 +104,71 @@ def assemble_xty(tables: GramTables, subset, t):
 
 
 # ---------------------------------------------------------------------------
-# scalar fitting kernels
+# the block kernel
 # ---------------------------------------------------------------------------
 
-def _sse_from_rows(rows, vec, y, n, d, collect):
+def _residual_block(tables, rows, subsets, method):
+    """Least-squares residuals of one block of subsets, per responder.
+
+    ``rows`` are the rows [1; X; Y] of ``tables``, ``method`` "hat-a" or
+    "hat-b". Returns the b x m x d residuals and the b-mask of subsets
+    whose normal matrix has a pivot below EPS_PIV (their residuals mean
+    nothing). The normal matrices and X^T y are one fancy index each into
+    ``tables.g``; every later step is the scalar fit's own operation, in
+    its order: the solves are ``gauss.forward_apply``/``back_substitute``
+    themselves, and each prediction sums its k + 1 products from zero.
+    """
+    b, k = subsets.shape
+    q, d, n = k + 1, tables.d, tables.n
+    # q x b positions in ``rows``: the all-ones row, then the subset
+    pos = np.vstack((np.zeros(b, dtype=np.intp), subsets.T + 1))
+    y = rows[1 + n:]
+    # entry (i, j) of the normal matrix is a b x 1 column, so it
+    # broadcasts against the b x m and b x d right hand sides
+    a = tables.g[pos[:, None, :], pos[None, :, :], None]
+    xty = list(tables.g[pos[:, :, None], 1 + n + np.arange(len(y))])
+    cols = list(rows[pos])
+    # skipped subsets divide by tiny pivots, and Python floats overflow
+    # to inf and NaN without a warning: the block runs as silently
+    with np.errstate(all="ignore"):
+        mult, recips, singular = _eliminate_block(a, q)
+        singular |= np.abs(a[k, k]) < EPS_PIV  # factor_symmetric's last pivot
+        recips[k] = 1.0 / a[k, k]
+        if method == "hat-a":
+            forward_apply(mult, xty, q)
+            basis, vec = cols, back_substitute(a, recips, xty, q)
+        else:
+            forward_apply(mult, cols, q)
+            basis, vec = back_substitute(a, recips, cols, q), xty
+        acc = np.zeros((b, len(y), d))
+        for j in range(q):
+            acc += basis[j][:, None, :] * vec[j][:, :, None]
+        np.subtract(y, acc, out=acc)
+    return acc, singular.ravel()
+
+
+def _sse(residuals):
+    """The b x m sums of squares of b x m x d ``residuals``, overwritten,
+    summed along d in order by ``np.add.accumulate`` as the scalar pass does."""
+    with np.errstate(all="ignore"):
+        np.multiply(residuals, residuals, out=residuals)
+        np.add.accumulate(residuals, axis=2, out=residuals)
+    return residuals[:, :, -1]
+
+
+def _lsq_block(tables, rows, subsets, method, sigma_sq=1.0):
+    """The ``hat-*`` scan's b x m scores, SSE over d (and over the
+    responders' variances ``sigma_sq``, for omega^2), and singular mask."""
+    residuals, singular = _residual_block(tables, rows, subsets, method)
+    with np.errstate(all="ignore"):
+        return _sse(residuals) / tables.d / sigma_sq, singular
+
+
+# ---------------------------------------------------------------------------
+# scalar reference fits
+# ---------------------------------------------------------------------------
+
+def _sse_from_rows(rows, vec, y, n, d):
     """Residual pass: predict row by row as the dot product of ``rows[r]``
     with ``vec``, subtract, accumulate the squared norm.
 
@@ -115,7 +177,6 @@ def _sse_from_rows(rows, vec, y, n, d, collect):
     like any other, so each row costs n + 1 products with the square.
     """
     sse = 0.0
-    res = [] if collect else None
     for r in range(d):
         row = rows[r]
         acc = 0.0
@@ -123,40 +184,32 @@ def _sse_from_rows(rows, vec, y, n, d, collect):
             acc = acc + row[j] * vec[j]
         e = y[r] - acc
         sse = sse + e * e
-        if collect:
-            res.append(e)
-    return sse, res
+    return sse
 
 
-def scan_fit_a(xtx, xtys, cols, ys, d, collect_residual=False):
+def scan_fit_a(xtx, xtys, cols, ys, d):
     """Ordering A: factor the normal matrix once, then per responder
     solve for the coefficients and run the residual pass.
 
-    ``xtx`` is consumed. Returns (sses, betas, residuals) with residuals
-    None unless requested.
+    ``xtx`` is consumed. Returns the list of sums of squared residuals.
     """
     n = len(xtx)
     mult, recips = factor_symmetric(xtx, n)
     rows = list(zip(*cols))
     sses = []
-    betas = []
-    residuals = [] if collect_residual else None
     for t, xty in enumerate(xtys):
         v = list(xty)
         forward_apply(mult, v, n)
         beta = back_substitute(xtx, recips, v, n)
-        sse, res = _sse_from_rows(rows, beta, ys[t], n, d, collect_residual)
-        sses.append(sse)
-        betas.append(beta)
-        if collect_residual:
-            residuals.append(res)
-    return sses, betas, residuals
+        sses.append(_sse_from_rows(rows, beta, ys[t], n, d))
+    return sses
 
 
-def scan_fit_b(xtx, xtys, cols, ys, d, collect_residual=False):
+def scan_fit_b(xtx, xtys, cols, ys, d):
     """Ordering B: factor once, build the d x (k+1) projector block
     X (X^T X)^{-1} row by row, then stream each responder through it.
-    Coefficients are never formed. ``xtx`` is consumed.
+    Coefficients are never formed. ``xtx`` is consumed. Returns the
+    list of sums of squared residuals.
     """
     n = len(xtx)
     mult, recips = factor_symmetric(xtx, n)
@@ -165,14 +218,7 @@ def scan_fit_b(xtx, xtys, cols, ys, d, collect_residual=False):
         v = [cols[j][r] for j in range(n)]
         forward_apply(mult, v, n)
         rows.append(back_substitute(xtx, recips, v, n))
-    sses = []
-    residuals = [] if collect_residual else None
-    for t, xty in enumerate(xtys):
-        sse, res = _sse_from_rows(rows, xty, ys[t], n, d, collect_residual)
-        sses.append(sse)
-        if collect_residual:
-            residuals.append(res)
-    return sses, residuals
+    return [_sse_from_rows(rows, xty, ys[t], n, d) for t, xty in enumerate(xtys)]
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +228,13 @@ def scan_fit_b(xtx, xtys, cols, ys, d, collect_residual=False):
 class DesignMatrix:
     """Regression design: an all-ones offset column followed by k predictors.
 
-    Stored column-major as lists of Python floats. Requires k + 1 <= d so
-    the normal equations can be nonsingular; actual rank is checked by the
-    elimination pivots during fitting.
+    Stored as one (k + 1) x d float64 array ``rows``, the rows [1; X].
+    Requires k + 1 <= d so the normal equations can be nonsingular; actual
+    rank is checked by the elimination pivots during fitting.
     """
 
     def __init__(self, predictor_columns):
-        cols = [[float(v) for v in c] for c in predictor_columns]
+        cols = [np.asarray(c, dtype=np.float64) for c in predictor_columns]
         if not cols:
             raise ValueError("need at least one predictor column")
         d = len(cols[0])
@@ -200,7 +246,7 @@ class DesignMatrix:
             )
         self.d = d
         self.k = len(cols)
-        self.cols = [[1.0] * d] + cols
+        self.rows = np.vstack((np.ones(d), *cols))
 
 
 @dataclass(frozen=True)
@@ -224,38 +270,29 @@ def fit_single(X: DesignMatrix, y) -> FitResult:
 def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     """Fit every responder in ``ys`` on the same design.
 
-    ``ordering`` picks the multi-responder schedule ("a" or "b"); results
-    agree to rounding. For ordering B the coefficients are recovered by a
-    separate solve of the same assembled normal equations, since that
-    schedule does not produce them. A column whose squared norm overflows
-    float64 raises InternalNumericError (predictors, then ys, from 0).
+    ``ordering`` ("a" or "b") picks the block kernel's schedule for the
+    residuals; results agree to rounding. Either way the coefficients come
+    from a solve of the assembled normal equations. A collinear design
+    raises SingularMatrixError, and a column whose squared norm overflows
+    float64 InternalNumericError (predictors, then ys, from 0).
     """
-    ys = [[float(v) for v in y] for y in ys]
+    ys = [np.asarray(y, dtype=np.float64) for y in ys]
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
-    tables = _checked_gram(np.array(X.cols + ys, dtype=np.float64),
-                           range(X.k), range(X.k, X.k + len(ys)))
-    idx = range(X.k)
-    xtx = assemble_xtx(tables, idx)
-    xtys = [assemble_xty(tables, idx, t) for t in range(len(ys))]
-    if ordering == "a":
-        sses, betas, residuals = scan_fit_a(xtx, xtys, X.cols, ys, X.d,
-                                            collect_residual=True)
-    elif ordering == "b":
-        sses, residuals = scan_fit_b(xtx, xtys, X.cols, ys, X.d,
-                                     collect_residual=True)
-        # scan_fit_b consumed xtx
-        betas = [solve_symmetric(assemble_xtx(tables, idx), xty) for xty in xtys]
-    else:
+    rows = np.vstack((X.rows, *ys))
+    tables = _checked_gram(rows, range(X.k), range(X.k, X.k + len(ys)))
+    if ordering not in ("a", "b"):
         raise ValueError(f"unknown ordering {ordering!r}, expected 'a' or 'b'")
-    out = []
-    for t in range(len(ys)):
-        sse = float(sses[t])
-        out.append(FitResult(
-            beta=tuple(float(b) for b in betas[t]),
-            residual=tuple(float(e) for e in residuals[t]),
-            sse=sse,
-            mse=sse / X.d,
-        ))
-    return out
+    idx = range(X.k)
+    residuals, singular = _residual_block(tables, rows, np.array([idx]), "hat-" + ordering)
+    if singular[0]:
+        # the scalar elimination names the pivot of the collinear design
+        factor_symmetric(assemble_xtx(tables, idx), X.k + 1)
+    betas = [solve_symmetric(assemble_xtx(tables, idx), assemble_xty(tables, idx, t))
+             for t in range(len(ys))]
+    res = residuals[0].tolist()
+    sses = _sse(residuals)[0].tolist()
+    return [FitResult(beta=tuple(betas[t]), residual=tuple(res[t]), sse=sses[t],
+                      mse=sses[t] / X.d)
+            for t in range(len(ys))]

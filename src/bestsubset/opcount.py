@@ -178,9 +178,9 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
 
     For the determinant-ratio kernels this covers one subset and all m
     responders. For the baselines d is required because the residual pass
-    touches every observation. "hat-single" is the one-responder baseline
-    count; "hat-a"/"hat-b" are the two multi-responder schedules and
-    "alg1" scales its single-responder cost by m.
+    touches every observation. "hat-single" is the one-responder baseline,
+    "hat-a" at m=1; "hat-a"/"hat-b" are the two multi-responder schedules
+    and "alg1" scales its single-responder cost by m.
     """
     if method not in COUNT_METHODS:
         raise ValueError(f"unknown count method {method!r}")
@@ -201,13 +201,9 @@ def predicted_counts(method: str, k: int, d: int | None = None, m: int = 1) -> O
         return OpTally(adds, muls, k - 1)
     if d is None:
         raise ValueError(f"method {method!r} needs d")
-    if method == "hat-single":
-        if m != 1:
-            raise ValueError("hat-single is defined for m=1")
-        adds = _poly((kf + 3) * d, k3 / 6, 3 * k2 / 2, 4 * kf / 3)
-        muls = _poly((kf + 2) * d, k3 / 6, 2 * k2, 17 * kf / 6, 1)
-        return OpTally(adds, muls, k + 1)
-    if method == "hat-a":
+    if method == "hat-single" and m != 1:
+        raise ValueError("hat-single is defined for m=1")
+    if method in ("hat-single", "hat-a"):
         adds = _poly(k3 / 6, k2 / 2, kf / 3, m * (kf * d + 3 * d + k2 + kf))
         muls = _poly(k3 / 6, k2, 5 * kf / 6, m * (kf * d + 2 * d + k2 + 2 * kf + 1))
         return OpTally(adds, muls, k + 1)
@@ -286,15 +282,15 @@ def measure_counts(method: str, k: int, d: int = 30, m: int = 1,
 # measured vs predicted tables
 # ---------------------------------------------------------------------------
 
-def count_table(methods=COUNT_METHODS, ks=range(1, 9), d: int = 30, ms=(1,)):
+def count_table(ks=range(1, 9), d: int = 30, ms=(1,)):
     """Measured and predicted counts over a (method, k, m) grid.
 
     Returns a list of row dicts, one per (method, k, m), ready for CSV or
-    text rendering. Every method appears at every requested m except
-    "hat-single", which is only defined for m=1.
+    text rendering. Every method in COUNT_METHODS appears at every
+    requested m except "hat-single", which is only defined for m=1.
     """
     rows = []
-    for method in methods:
+    for method in COUNT_METHODS:
         for m in ms:
             if method == "hat-single" and m != 1:
                 continue

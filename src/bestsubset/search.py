@@ -7,10 +7,11 @@ method, cond-uncorrelation, walks the subset tree level by level: each
 j-subset keeps its LDL^T factor, and every extension by one more column
 reuses that factor for a rank-one step, a block of extensions at a time
 in numpy. The per-subset methods stream lexicographic blocks: algorithm1
-triangulates each subset's stacked matrix per responder, and the
-least-squares baselines (hat-a, hat-b) pay each subset's full fit,
-including a pass over all d observations. Every block score is
-bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
+triangulates each subset's stacked matrix per responder in
+``gauss._eliminate_block``, and the least-squares baselines (hat-a, hat-b)
+pay each subset's full fit in ``hat._lsq_block``, including a pass over
+all d observations; this module only sizes their blocks. Every block
+score is bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
 ``hat.scan_fit_a``/``scan_fit_b``), and every window compares omega^2,
 so the tie rule does not depend on the responders' units. Subsets whose
 predictor block is numerically collinear are skipped, and the skip
@@ -33,7 +34,7 @@ from .errors import (
     NoValidSubsetError,
     UnknownMethodError,
 )
-from .gauss import back_substitute, forward_apply, solve_symmetric
+from .gauss import _eliminate_block, solve_symmetric
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
@@ -267,74 +268,6 @@ def _alg1_block(rx, ry, subsets):
     return a[k, k], singular
 
 
-def _lsq_block(tables, rows, subsets, method, sigma_sq=1.0):
-    """Least-squares scores of one block of subsets, per responder.
-
-    ``rows`` are the rows [1; X; Y] of ``tables``. Returns (scores,
-    singular): the b x m sums of squared residuals over d (over d and
-    ``sigma_sq``, the responders' variances, for omega^2), and the mask
-    of the subsets whose normal matrix has a pivot below EPS_PIV (their
-    scores mean nothing). The normal matrices and X^T y are one fancy
-    index each into ``tables.g``; every later step is the scalar fit's
-    own operation, in its order, elementwise across the block, so every
-    score is ``hat.scan_fit_a`` ("hat-a") or ``scan_fit_b``'s over d bit
-    for bit: the solves are ``gauss.forward_apply``/``back_substitute``
-    themselves, and the residual pass sums ``e * e`` along d with the
-    sequential ``np.add.accumulate``.
-    """
-    b, k = subsets.shape
-    q, d, n = k + 1, tables.d, tables.n
-    # q x b positions in ``rows``: the all-ones row, then the subset
-    pos = np.vstack((np.zeros(b, dtype=np.intp), subsets.T + 1))
-    y = rows[1 + n:]
-    # entry (i, j) of the normal matrix is a b x 1 column, so it
-    # broadcasts against the b x m and b x d right hand sides
-    a = tables.g[pos[:, None, :], pos[None, :, :], None]
-    xty = list(tables.g[pos[:, :, None], 1 + n + np.arange(len(y))])
-    cols = list(rows[pos])
-    # skipped subsets divide by tiny pivots, and Python floats overflow
-    # to inf and NaN without a warning: the block runs as silently
-    with np.errstate(all="ignore"):
-        mult, recips, singular = _eliminate_block(a, q)
-        singular |= np.abs(a[k, k]) < EPS_PIV  # factor_symmetric's last pivot
-        recips[k] = 1.0 / a[k, k]
-        if method == "hat-a":
-            forward_apply(mult, xty, q)
-            basis, vec = cols, back_substitute(a, recips, xty, q)
-        else:
-            forward_apply(mult, cols, q)
-            basis, vec = back_substitute(a, recips, cols, q), xty
-        acc = np.zeros((b, len(y), d))
-        for j in range(q):
-            acc += basis[j][:, None, :] * vec[j][:, :, None]
-        np.subtract(y, acc, out=acc)
-        np.multiply(acc, acc, out=acc)
-        np.add.accumulate(acc, axis=2, out=acc)
-        return acc[:, :, -1] / d / sigma_sq, singular.ravel()
-
-
-def _eliminate_block(a, q):
-    """``gauss._eliminate`` across a q x q x b x m block ``a``, in place.
-
-    Where the scalar elimination raises on a pivot below EPS_PIV, this
-    marks the entry in the returned b x m ``singular`` mask and carries
-    on; later steps of that entry are never read.
-    """
-    mult = [[None] * q for _ in range(q)]
-    recips = [None] * q
-    singular = np.zeros(a.shape[2:], dtype=bool)
-    for i in range(q - 1):
-        pivot = a[i, i]
-        singular |= np.abs(pivot) < EPS_PIV
-        recip = 1.0 / pivot
-        recips[i] = recip
-        for j in range(i + 1, q):
-            temp = a[i, j] * recip
-            mult[i][j] = temp
-            a[j, j:] = a[j, j:] - a[i, j:] * temp
-    return mult, recips, singular
-
-
 # ---------------------------------------------------------------------------
 # selection driver
 # ---------------------------------------------------------------------------
@@ -421,7 +354,7 @@ def select_best(
         rows = hat._stacked(data, pred, resp)
         tables = hat._checked_gram(rows, pred, resp)
         sigma_sq = np.square(model.resp_sigma)
-        score = partial(_lsq_block, tables, rows, method=method, sigma_sq=sigma_sq)
+        score = partial(hat._lsq_block, tables, rows, method=method, sigma_sq=sigma_sq)
         block = max(LSQ_FLOATS // (max(m, k + 1) * data.d), 1)
         blocks = _lex_blocks(score, n, k, block)
     windows, scored = _argmin(blocks, m)
@@ -436,7 +369,7 @@ def select_best(
         # the windows hold MSE / sigma^2; blocks of the winners repeat the
         # scan's elementwise steps, so entry (t, t) is t's raw MSE bit for bit
         subsets = np.array([s for _, s in winners])
-        mse = np.concatenate([_lsq_block(tables, rows, subsets[lo:lo + block], method)[0]
+        mse = np.concatenate([hat._lsq_block(tables, rows, subsets[lo:lo + block], method)[0]
                               for lo in range(0, m, block)]).diagonal().tolist()
     return [_finalise(model, method, tables, mse[t], *winners[t], t, skipped, scored)
             for t in range(m)]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,25 @@ def test_column_spec_errors():
             cli.parse_column_spec(spec, names, 3, "t")
 
 
+def test_duplicate_label_in_a_spec_is_an_error(tmp_path, capsys):
+    """With the header a,a,c,y, ``--predictors a,c`` silently used the
+    first 'a' (column 0), and ``1,c`` reported column 1 under the same
+    label: the report could not say which column won. Naming a duplicated
+    label now exits 2 and names its columns; indices still resolve, and
+    duplicate labels that no spec names still load."""
+    path = write_csv(tmp_path, "a,a,c,y\n1,2,3,4\n4,1,6,7\n2,8,1,0\n5,3,3,1\n")
+    code = cli.main(["select", "--input", path, "--predictors", "a,c",
+                     "--responders", "y", "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "'a' labels columns [0, 1]" in err
+    code, out = run_cli(capsys, ["select", "--input", path, "--predictors", "1,c",
+                                 "--responders", "y", "--k", "1"])
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+    assert cli.parse_column_spec("0-1,c", ["a", "a", "c", "y"], 4, "t") == [0, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
@@ -497,6 +517,17 @@ def test_count_ops_formats(capsys):
     code, out = run_cli(capsys, ["count-ops", "--k", "2", "--m", "2"])
     assert code == 0
     assert "alg2" in out and "hat-b" in out
+
+
+def test_count_ops_matches_the_golden_table(capsys):
+    """The measured and predicted counts are integers, so the table does
+    not depend on the platform or the BLAS: any change to a counted
+    kernel or a closed form shows up here."""
+    code, out = run_cli(capsys, ["count-ops", "--k", "8", "--m", "5", "--d", "30",
+                                 "--format", "csv"])
+    assert code == 0
+    assert out == (pathlib.Path(__file__).parent / "golden" /
+                   "count_ops_k8_m5_d30.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

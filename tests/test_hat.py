@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import make_instance
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bestsubset import (
     DesignMatrix,
@@ -13,7 +15,8 @@ from bestsubset import (
     gram_products,
     select_best,
 )
-from bestsubset.hat import assemble_xtx, assemble_xty
+from bestsubset.gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
+from bestsubset.hat import _gram, assemble_xtx, assemble_xty
 from bestsubset.stats import column_stats, synthetic_observations
 
 
@@ -25,7 +28,7 @@ def test_design_matrix_validation():
     with pytest.raises(ValueError):
         DesignMatrix([[1.0, 2.0], [3.0, 4.0]])  # k+1 > d
     X = DesignMatrix([[1.0, 2.0, 3.0]])
-    assert X.cols[0] == [1.0, 1.0, 1.0]
+    assert X.rows.tolist() == [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]
 
 
 def test_gram_assembly_matches_matrix_product():
@@ -125,6 +128,89 @@ def test_multi_consistent_with_single():
         single = fit_single(X, y)
         assert single.beta == multi[t].beta
         assert single.sse == multi[t].sse
+
+
+def _scalar_fits(cols, ys, ordering):
+    """Betas, residuals and sses of every responder by the scalar fit, one
+    observation at a time: ordering "a" predicts with X beta, ordering "b"
+    through the rows of X (X^T X)^{-1} and X^T y, and takes its betas from
+    a separate solve. The residual pass sums its k + 1 products and the
+    d squares from zero, in order. Raises as the factorisation raises."""
+    d, q = len(cols[0]), len(cols)
+    tables = _gram(np.array(cols + ys), q - 1)
+    xtx = assemble_xtx(tables, range(q - 1))
+    xtys = [assemble_xty(tables, range(q - 1), t) for t in range(len(ys))]
+    mult, recips = factor_symmetric(xtx, q)
+    betas = []
+    for xty in xtys:
+        v = list(xty)
+        forward_apply(mult, v, q)
+        betas.append(back_substitute(xtx, recips, v, q))
+    if ordering == "a":
+        rows, vecs = [[c[r] for c in cols] for r in range(d)], betas
+    else:
+        rows = []
+        for r in range(d):
+            v = [c[r] for c in cols]
+            forward_apply(mult, v, q)
+            rows.append(back_substitute(xtx, recips, v, q))
+        vecs = xtys
+        betas = [solve_symmetric(assemble_xtx(tables, range(q - 1)), list(xty))
+                 for xty in xtys]
+    residuals, sses = [], []
+    for y, vec in zip(ys, vecs):
+        res, sse = [], 0.0
+        for r in range(d):
+            acc = 0.0
+            for j in range(q):
+                acc = acc + rows[r][j] * vec[j]
+            e = y[r] - acc
+            sse = sse + e * e
+            res.append(e)
+        residuals.append(res)
+        sses.append(sse)
+    return betas, residuals, sses
+
+
+@st.composite
+def _designs(draw):
+    """Seeded designs, d 5-80, k 1-5, m 1-3, with columns scaled by
+    1e-3..1e3 and shifted; ``collinear`` makes column 1 an affine copy
+    of column 0."""
+    d = draw(st.integers(5, 80))
+    k = draw(st.integers(1, min(5, d - 1)))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    x += rng.uniform(-5, 5, (k, 1))
+    if k > 1 and draw(st.booleans()):
+        x[1] = 2.0 * x[0] + 1.0
+    return x.tolist(), rng.standard_normal((m, d)).tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_designs())
+@example(([[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 5.0, 7.0, 9.0]],
+          [[1.0, 0.0, 2.0, 5.0, 3.0]]))
+def test_fit_multi_matches_the_scalar_fit(design):
+    """Both orderings give the scalar fit's betas, residuals, sse and mse
+    bit for bit, and a collinear design raises its SingularMatrixError
+    message."""
+    x, ys = design
+    cols = [[1.0] * len(ys[0])] + x
+    for ordering in ("a", "b"):
+        try:
+            betas, residuals, sses = _scalar_fits(cols, ys, ordering)
+        except SingularMatrixError as err:
+            with pytest.raises(SingularMatrixError) as raised:
+                fit_multi(DesignMatrix(x), ys, ordering)
+            assert str(raised.value) == str(err)
+            continue
+        fits = fit_multi(DesignMatrix(x), ys, ordering)
+        assert [f.beta for f in fits] == [tuple(b) for b in betas]
+        assert [f.residual for f in fits] == [tuple(r) for r in residuals]
+        assert [f.sse for f in fits] == sses
+        assert [f.mse for f in fits] == [sse / len(ys[0]) for sse in sses]
 
 
 def test_fit_single_reproduces_the_hat_a_winner():

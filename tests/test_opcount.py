@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bestsubset import OpTally, measure_counts, predicted_counts
-from bestsubset.opcount import CountingTally, count_table, counted, format_count_table
+from bestsubset.opcount import (
+    COUNT_METHODS,
+    CountingTally,
+    count_table,
+    counted,
+    format_count_table,
+)
 
 
 def test_counting_scalar_tallies_each_operation():
@@ -130,10 +136,13 @@ def test_parameter_validation():
 
 
 def test_count_table_and_rendering():
-    rows = count_table(methods=("alg2", "hat-b"), ks=(1, 2), d=12, ms=(1, 2))
-    assert len(rows) == 8
+    rows = count_table(ks=(1, 2), d=12, ms=(1, 2))
+    # every method at both m and both k, except hat-single, which has m=1 only
+    assert [(r["method"], r["m"], r["k"]) for r in rows] == [
+        (method, m, k) for method in COUNT_METHODS for m in (1, 2) for k in (1, 2)
+        if method != "hat-single" or m == 1]
     assert all(r["exact_match"] for r in rows)
     csv_text = format_count_table(rows, "csv")
     assert csv_text.splitlines()[0].startswith("method,k,d,m,adds_measured")
     table = format_count_table(rows, "text")
-    assert "alg2" in table and "hat-b" in table
+    assert all(method in table for method in COUNT_METHODS)

@@ -520,7 +520,7 @@ def _lsq_reference(data, pred, resp, k, method):
     def score(subset):
         xtys = [assemble_xty(tables, subset, t) for t in range(m)]
         sub_cols = [cols[0]] + [cols[j + 1] for j in subset]
-        sses = fit(assemble_xtx(tables, subset), xtys, sub_cols, ys, d)[0]
+        sses = fit(assemble_xtx(tables, subset), xtys, sub_cols, ys, d)
         scores[subset] = [sse / d for sse in sses]
         return [mse / (s * s) for mse, s in zip(scores[subset], sigma)]
 
@@ -558,7 +558,7 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
     subsets = np.array(list(enumerate_subsets(len(pred), k)), dtype=np.intp)
     for method in ("hat-a", "hat-b"):
         ref_scores, windows, skipped = _lsq_reference(data, pred, resp, k, method)
-        scores, singular = search._lsq_block(tables, rows, subsets, method)
+        scores, singular = hat._lsq_block(tables, rows, subsets, method)
         for subset, row, skip in zip(map(tuple, subsets.tolist()), scores, singular):
             assert skip == (subset not in ref_scores)
             if not skip:
