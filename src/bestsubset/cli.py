@@ -185,7 +185,7 @@ def _ingest_fast(path: str):
     if (values.shape[0] < 2 or values.shape[1] != len(first)
             or not np.isfinite(values).all()):
         return None
-    return ObservationMatrix(values), names
+    return ObservationMatrix._adopt(values), names
 
 
 def _ingest_reference(path: str):

@@ -5,7 +5,8 @@ The baseline scores a subset by actually fitting the regression: solve
 e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
 lookup from one Gram matrix computed once over the full data by
-:func:`stats._dots`, the kernel behind the correlation model.
+:func:`stats._dots`, the kernel behind the correlation model, which
+takes the stacked rows [1; X; Y] as slices, a tile at a time.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -89,7 +90,8 @@ def _checked_gram(rows, predictors, responders) -> GramTables:
 
 def _gram(rows, n) -> GramTables:
     """Gram tables of the stacked rows [1; X; Y] with n predictors, unchecked."""
-    return GramTables(d=rows.shape[1], n=n, g=_dots(rows))
+    return GramTables(d=rows.shape[1], n=n,
+                      g=_dots(lambda lo, hi: rows[lo:hi], *rows.shape))
 
 
 def assemble_xtx(tables: GramTables, subset):
@@ -229,8 +231,9 @@ class DesignMatrix:
     """Regression design: an all-ones offset column followed by k predictors.
 
     Stored as one (k + 1) x d float64 array ``rows``, the rows [1; X].
-    Requires k + 1 <= d so the normal equations can be nonsingular; actual
-    rank is checked by the elimination pivots during fitting.
+    Requires k + 1 <= d so the normal equations can be nonsingular, and
+    finite entries; actual rank is checked by the elimination pivots
+    during fitting.
     """
 
     def __init__(self, predictor_columns):
@@ -244,6 +247,8 @@ class DesignMatrix:
             raise ValueError(
                 f"{len(cols)} predictors plus offset exceed {d} observations"
             )
+        if not all(np.isfinite(c).all() for c in cols):
+            raise ValueError("design matrix contains NaN or infinite entries")
         self.d = d
         self.k = len(cols)
         self.rows = np.vstack((np.ones(d), *cols))
@@ -272,14 +277,17 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
     residuals; results agree to rounding. Either way the coefficients come
-    from a solve of the assembled normal equations. A collinear design
-    raises SingularMatrixError, and a column whose squared norm overflows
+    from a solve of the assembled normal equations. A NaN or infinite
+    responder value raises ValueError, a collinear design
+    SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
     """
     ys = [np.asarray(y, dtype=np.float64) for y in ys]
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
+        if not np.isfinite(y).all():
+            raise ValueError("responder contains NaN or infinite entries")
     rows = np.vstack((X.rows, *ys))
     tables = _checked_gram(rows, range(X.k), range(X.k, X.k + len(ys)))
     if ordering not in ("a", "b"):

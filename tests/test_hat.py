@@ -245,6 +245,20 @@ def test_overflowing_design_column_is_an_error():
         fit_single(DesignMatrix([list(1e160 + 1e150 * z)]), list(y))
 
 
+def test_non_finite_inputs_are_value_errors():
+    """A NaN or infinite design or responder value is rejected as such,
+    where it was reported as a squared norm overflowing float64."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DesignMatrix([[0.0, 1.0, bad, 3.0]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit_single(DesignMatrix([range(6)]), [1, 2, bad, 4, 5, 6])
+        for ordering in ("a", "b"):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                fit_multi(DesignMatrix([range(6)]), [range(6), [1, bad, 3, 4, 5, 6]],
+                          ordering)
+
+
 def test_unknown_ordering_rejected():
     X = DesignMatrix([[0.0, 1.0, 2.0]])
     with pytest.raises(ValueError):

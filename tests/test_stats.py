@@ -1,5 +1,7 @@
 """Column statistics and Pearson correlation layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import stack
@@ -16,7 +18,7 @@ from bestsubset import (
     pearson,
     synthetic_observations,
 )
-from bestsubset import cli
+from bestsubset import cli, stats
 from bestsubset.search import slice_correlations
 from bestsubset.stats import _dots
 from bestsubset.tolerances import EPS_NUM, _clamp
@@ -182,14 +184,11 @@ def _column_picks(draw):
 def test_inner_product_kernel_is_pairwise_np_dot(instance):
     """Every entry of the kernel is np.dot of its two rows, and every
     correlation is the pairwise formula on separately centred columns,
-    byte for byte, whatever the length, order and repeats."""
+    byte for byte, whatever the length, order and repeats, and whether
+    tiles hold 1, 2 or 3 rows or the default budget."""
     data, cols = instance
     d, q = data.d, len(cols)
     rows = np.ascontiguousarray(data.values[:, cols].T)
-    dots = _dots(rows)
-    for i in range(q):
-        for j in range(q):
-            assert dots[i, j] == float(np.dot(rows[i], rows[j]))
     devs = [data.column(c) - float(np.mean(data.column(c))) for c in cols]
     sigma = [float(np.sqrt(np.dot(v, v) / d)) for v in devs]
     expected = np.ones((q, q))
@@ -197,7 +196,16 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
         for j in range(i + 1, q):
             rho = float(np.dot(devs[i], devs[j])) / d / (sigma[i] * sigma[j])
             expected[i, j] = expected[j, i] = _clamp(rho, -1.0, 1.0, "rho")
-    assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
+    for tile_rows in (1, 2, 3, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if tile_rows is not None:
+                mp.setattr(stats, "DOT_FLOATS", tile_rows * d)
+                mp.setattr(stats, "DOT_MIN_ROWS", 1)
+            dots = _dots(lambda lo, hi: rows[lo:hi], q, d)
+            for i in range(q):
+                for j in range(q):
+                    assert dots[i, j] == float(np.dot(rows[i], rows[j]))
+            assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
 
 
 def test_large_sample_off_diagonals_small():
@@ -231,6 +239,25 @@ def test_observation_matrix_read_only():
         again = ObservationMatrix(other)
         assert again.values.flags.c_contiguous
         assert again.values.tobytes() == source.tobytes()
+    # CSV ingest's private path holds its fresh array itself, read-only
+    adopted = ObservationMatrix._adopt(source)
+    assert adopted.values is source and not source.flags.writeable
+    with pytest.raises(ValueError):
+        ObservationMatrix._adopt(np.array([[1.0], [np.inf]]))
+
+
+def test_model_holds_a_few_tiles_of_a_tall_table():
+    """The correlation model of 8000 x 100 columns never holds all their
+    deviations at once: its peak stays under half the columns' bytes.
+    Centring them all into one array read over 1.0x."""
+    data = synthetic_observations(8000, 100, seed=47)
+    tracemalloc.start()
+    try:
+        build_correlation_model(data, range(98), [98, 99])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * data.values.nbytes
 
 
 def test_model_slices_match_pairwise_pearson():
