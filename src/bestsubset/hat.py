@@ -6,7 +6,9 @@ e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
 lookup from one Gram matrix computed once over the full data by
 :func:`stats._dots`, the kernel behind the correlation model, which
-takes the stacked rows [1; X; Y] as slices, a tile at a time.
+takes the stacked rows [1; X; Y] as slices, a tile at a time. Only
+:func:`gram_products` builds them, one copy of the selected columns, kept
+with their Gram matrix for the scan, :func:`fit_multi` and the op counter.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import InternalNumericError
 from .gauss import _eliminate_block, back_substitute, factor_symmetric, forward_apply
 from .gauss import solve_symmetric
-from .stats import _dots
+from .stats import ObservationMatrix, _checked_columns, _dots
 from .tolerances import EPS_PIV
 
 __all__ = [
@@ -51,47 +53,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GramTables:
-    """All inner products the subset scan will ever look up: ``g`` is the
-    Gram matrix of the stacked rows [1; X; Y], the all-ones column, the n
-    predictors, then the m responders, by position (not column index)."""
+    """The ``rows`` [1; X; Y] (all-ones, n predictors, m responders), one
+    contiguous d-vector each, and ``g``, their Gram matrix: every inner
+    product the subset scan will ever look up, by position."""
 
     d: int
     n: int
     g: np.ndarray
+    rows: np.ndarray
 
 
-def _stacked(data, predictors, responders) -> np.ndarray:
-    """The rows [1; X; Y] of the Gram matrix, one contiguous d-vector each."""
-    return np.vstack((np.ones(data.d), data.values[:, [*predictors, *responders]].T))
+def _stacked(columns) -> np.ndarray:
+    """The rows [1; X; Y]: the all-ones row, then one row per d-vector
+    in ``columns``, filled into one preallocated array."""
+    rows = np.empty((1 + len(columns), len(columns[0])))
+    rows[0] = 1.0
+    for row, column in zip(rows[1:], columns):
+        row[...] = column
+    return rows
 
 
 def gram_products(data, predictors, responders) -> GramTables:
-    """Precompute every pairwise inner product once, with numpy.
+    """Stack the rows [1; X; Y] once and precompute all their pairwise
+    inner products, with numpy.
 
     This is the one-time global pass; everything after it assembles
-    subset-level matrices purely by lookup. A column whose squared norm
-    overflows float64 raises InternalNumericError.
+    subset-level matrices purely by lookup. The columns are checked as
+    :func:`stats.build_correlation_model` checks them, and a column whose
+    squared norm overflows float64 raises InternalNumericError: every
+    subset holding it would score NaN.
     """
-    return _checked_gram(_stacked(data, predictors, responders), predictors, responders)
-
-
-def _checked_gram(rows, predictors, responders) -> GramTables:
-    """:func:`_gram`, rejecting the first column whose squared norm
-    overflows: every subset holding it would score NaN."""
-    tables = _gram(rows, len(predictors))
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(tables.g)))
+    pred, resp = _checked_columns(data, predictors, responders)
+    columns = pred + resp
+    rows = _stacked([data.column(c) for c in columns])
+    g = _dots(lambda lo, hi: rows[lo:hi], *rows.shape)
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(g)))
     if len(bad):
-        column = [*predictors, *responders][bad[0] - 1]
         raise InternalNumericError(
-            f"column {column!r} has a squared norm that overflows float64 "
+            f"column {columns[bad[0] - 1]!r} has a squared norm that overflows float64 "
             "in the least-squares Gram table")
-    return tables
-
-
-def _gram(rows, n) -> GramTables:
-    """Gram tables of the stacked rows [1; X; Y] with n predictors, unchecked."""
-    return GramTables(d=rows.shape[1], n=n,
-                      g=_dots(lambda lo, hi: rows[lo:hi], *rows.shape))
+    return GramTables(d=data.d, n=len(pred), g=g, rows=rows)
 
 
 def assemble_xtx(tables: GramTables, subset):
@@ -109,21 +110,21 @@ def assemble_xty(tables: GramTables, subset, t):
 # the block kernel
 # ---------------------------------------------------------------------------
 
-def _residual_block(tables, rows, subsets, method):
+def _residual_block(tables, subsets, method):
     """Least-squares residuals of one block of subsets, per responder.
 
-    ``rows`` are the rows [1; X; Y] of ``tables``, ``method`` "hat-a" or
-    "hat-b". Returns the b x m x d residuals and the b-mask of subsets
-    whose normal matrix has a pivot below EPS_PIV (their residuals mean
-    nothing). The normal matrices and X^T y are one fancy index each into
-    ``tables.g``; every later step is the scalar fit's own operation, in
-    its order: the solves are ``gauss.forward_apply``/``back_substitute``
+    ``method`` is "hat-a" or "hat-b". Returns the b x m x d residuals and
+    the b-mask of subsets whose normal matrix has a pivot below EPS_PIV
+    (their residuals mean nothing). The normal matrices and X^T y are one
+    fancy index each into ``tables.g``, the columns one into
+    ``tables.rows``; every later step is the scalar fit's own operation,
+    in its order: the solves are ``gauss.forward_apply``/``back_substitute``
     themselves, and each prediction sums its k + 1 products from zero.
     """
     b, k = subsets.shape
-    q, d, n = k + 1, tables.d, tables.n
+    q, d, n, rows = k + 1, tables.d, tables.n, tables.rows
     # q x b positions in ``rows``: the all-ones row, then the subset
-    pos = np.vstack((np.zeros(b, dtype=np.intp), subsets.T + 1))
+    pos = np.concatenate((np.zeros((1, b), dtype=np.intp), subsets.T + 1))
     y = rows[1 + n:]
     # entry (i, j) of the normal matrix is a b x 1 column, so it
     # broadcasts against the b x m and b x d right hand sides
@@ -158,10 +159,10 @@ def _sse(residuals):
     return residuals[:, :, -1]
 
 
-def _lsq_block(tables, rows, subsets, method, sigma_sq=1.0):
-    """The ``hat-*`` scan's b x m scores, SSE over d (and over the
-    responders' variances ``sigma_sq``, for omega^2), and singular mask."""
-    residuals, singular = _residual_block(tables, rows, subsets, method)
+def _lsq_block(tables, subsets, method, sigma_sq):
+    """The ``hat-*`` scan's b x m scores, SSE over d and over the
+    responders' variances ``sigma_sq`` (omega^2), and singular mask."""
+    residuals, singular = _residual_block(tables, subsets, method)
     with np.errstate(all="ignore"):
         return _sse(residuals) / tables.d / sigma_sq, singular
 
@@ -251,7 +252,7 @@ class DesignMatrix:
             raise ValueError("design matrix contains NaN or infinite entries")
         self.d = d
         self.k = len(cols)
-        self.rows = np.vstack((np.ones(d), *cols))
+        self.rows = _stacked(cols)
 
 
 @dataclass(frozen=True)
@@ -277,23 +278,24 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
     residuals; results agree to rounding. Either way the coefficients come
-    from a solve of the assembled normal equations. A NaN or infinite
-    responder value raises ValueError, a collinear design
+    from a solve of the normal equations, assembled from
+    :func:`gram_products` as the scan's are. An unknown ordering, empty
+    ``ys`` or a NaN or infinite value raises ValueError, a collinear design
     SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
     """
+    if ordering not in ("a", "b"):
+        raise ValueError(f"unknown ordering {ordering!r}, expected 'a' or 'b'")
     ys = [np.asarray(y, dtype=np.float64) for y in ys]
     for y in ys:
         if len(y) != X.d:
             raise ValueError("responder length does not match design")
         if not np.isfinite(y).all():
             raise ValueError("responder contains NaN or infinite entries")
-    rows = np.vstack((X.rows, *ys))
-    tables = _checked_gram(rows, range(X.k), range(X.k, X.k + len(ys)))
-    if ordering not in ("a", "b"):
-        raise ValueError(f"unknown ordering {ordering!r}, expected 'a' or 'b'")
+    tables = gram_products(ObservationMatrix._adopt(np.column_stack((*X.rows[1:], *ys))),
+                           range(X.k), range(X.k, X.k + len(ys)))
     idx = range(X.k)
-    residuals, singular = _residual_block(tables, rows, np.array([idx]), "hat-" + ordering)
+    residuals, singular = _residual_block(tables, np.array([idx]), "hat-" + ordering)
     if singular[0]:
         # the scalar elimination names the pivot of the collinear design
         factor_symmetric(assemble_xtx(tables, idx), X.k + 1)

@@ -231,12 +231,10 @@ def _run_counted(method, data, model, k, m, tally):
         for rho in wrap(model.ry).tolist():
             conditional_uuc(cache, rho)
     else:
-        pred, resp = range(k), range(k, k + m)
-        rows = hat._stacked(data, pred, resp)
-        g = wrap(hat._checked_gram(rows, pred, resp).g)
+        tables = hat.gram_products(data, range(k), range(k, k + m))
+        g, rows = wrap(tables.g), wrap(tables.rows)
         # [1; X] is rows 0..k of the Gram matrix, and responder t row k+1+t
         xtx, xtys = g[:k + 1, :k + 1].tolist(), g[k + 1:, :k + 1].tolist()
-        rows = wrap(rows)
         fit = hat.scan_fit_b if method == "hat-b" else hat.scan_fit_a
         fit(xtx, xtys, rows[:k + 1].tolist(), rows[k + 1:].tolist(), data.d)
 

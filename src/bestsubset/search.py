@@ -10,8 +10,9 @@ in numpy. The per-subset methods stream lexicographic blocks: algorithm1
 triangulates each subset's stacked matrix per responder in
 ``gauss._eliminate_block``, and the least-squares baselines (hat-a, hat-b)
 pay each subset's full fit in ``hat._lsq_block``, including a pass over
-all d observations; this module only sizes their blocks. Every block
-score is bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
+all d observations; this module only sizes their blocks, and the fit of
+``hat.fit_multi`` reports their winners. Every block score is
+bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
 ``hat.scan_fit_a``/``scan_fit_b``), and every window compares omega^2,
 so the tie rule does not depend on the responders' units. Subsets whose
 predictor block is numerically collinear are skipped, and the skip
@@ -34,7 +35,7 @@ from .errors import (
     NoValidSubsetError,
     UnknownMethodError,
 )
-from .gauss import _eliminate_block, solve_symmetric
+from .gauss import _eliminate_block
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
@@ -311,8 +312,9 @@ def select_best(
         each prefix's factor with all of its extensions, and re-scores
         only the winners with the scalar kernels; algorithm1 triangulates
         every (subset, responder) pair's stacked matrix, and hat-a and
-        hat-b fit every subset, a numpy block of subsets at a time. Every
-        tie window compares omega^2 (for hat-*, MSE over sigma_y^2)
+        hat-b fit every subset, a numpy block of subsets at a time, and
+        report each winner's ``hat.fit_multi``. Every tie window compares
+        omega^2 (for hat-*, MSE over sigma_y^2)
     workers : accepted and ignored; the scan runs on one thread (a
         2-thread pool measured 0.53-1.00x on the former pure-Python
         algorithm1 scan). Kept only for the ``search.workers2_speedup``
@@ -344,19 +346,15 @@ def select_best(
         )
 
     model = build_correlation_model(data, pred, resp)
-    tables = None
     if method == "cond-uncorrelation":
         blocks = _tree_blocks(model.rx, model.ry, k)
     elif method == "algorithm1":
         score = partial(_alg1_block, model.rx, model.ry)
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // ((k + 1) * m))
     else:
-        rows = hat._stacked(data, pred, resp)
-        tables = hat._checked_gram(rows, pred, resp)
-        sigma_sq = np.square(model.resp_sigma)
-        score = partial(hat._lsq_block, tables, rows, method=method, sigma_sq=sigma_sq)
-        block = max(LSQ_FLOATS // (max(m, k + 1) * data.d), 1)
-        blocks = _lex_blocks(score, n, k, block)
+        score = partial(hat._lsq_block, hat.gram_products(data, pred, resp),
+                        method=method, sigma_sq=np.square(model.resp_sigma))
+        blocks = _lex_blocks(score, n, k, LSQ_FLOATS // (max(m, k + 1) * data.d))
     windows, scored = _argmin(blocks, m)
     skipped = total - scored
     if not scored:
@@ -364,33 +362,25 @@ def select_best(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
     winners = [w.winner() for w in windows]
-    mse = [None] * m
-    if tables is not None:
-        # the windows hold MSE / sigma^2; blocks of the winners repeat the
-        # scan's elementwise steps, so entry (t, t) is t's raw MSE bit for bit
-        subsets = np.array([s for _, s in winners])
-        mse = np.concatenate([hat._lsq_block(tables, rows, subsets[lo:lo + block], method)[0]
-                              for lo in range(0, m, block)]).diagonal().tolist()
-    return [_finalise(model, method, tables, mse[t], *winners[t], t, skipped, scored)
+    return [_finalise(data, model, method, *winners[t], t, skipped, scored)
             for t in range(m)]
 
 
-def _finalise(model, method, tables, mse, score, subset, t, skipped,
-              evaluated) -> SelectionResult:
+def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> SelectionResult:
     sigma_y = model.resp_sigma[t]
-    sigma_y_sq = sigma_y * sigma_y
-    if tables is not None:
-        # the scan already factored this exact matrix without a skip
-        beta = solve_symmetric(hat.assemble_xtx(tables, subset),
-                               hat.assemble_xty(tables, subset, t))
-        coeff = RegressionCoefficients(beta0=beta[0], betas=tuple(beta[1:]))
+    if method in ("hat-a", "hat-b"):
+        # the windows hold MSE / sigma^2; the winner's fit repeats the scan's
+        # inner products and elimination bit for bit, so it is never singular
+        design = hat.DesignMatrix([data.column(model.predictors[j]) for j in subset])
+        fit, = hat.fit_multi(design, [data.column(model.responders[t])], method[-1])
+        mse, coeff = fit.mse, RegressionCoefficients(fit.beta[0], fit.beta[1:])
     else:
         rx, rho = slice_correlations(model, subset, t)
         if method == "cond-uncorrelation":
             # the scalar kernels score the winner, so the reported figures
             # do not depend on the batched scan's summation order
             score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
-        mse = sigma_y_sq * score
+        mse = sigma_y * sigma_y * score
         coeff = coefficients_from_correlations(
             rx, rho, sigma_y,
             [model.pred_sigma[j] for j in subset],

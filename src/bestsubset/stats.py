@@ -256,14 +256,9 @@ class CorrelationModel:
         return len(self.responders)
 
 
-def build_correlation_model(data: ObservationMatrix, predictors, responders) -> CorrelationModel:
-    """Compute all pairwise correlations needed by the subset search.
-
-    Predictor/predictor correlations and predictor/responder correlations
-    are slices of one :func:`_pairwise` pass over predictors then
-    responders, the routine behind :func:`pearson`, which is what makes
-    later slicing bit-faithful. A constant or overflowing column raises.
-    """
+def _checked_columns(data: ObservationMatrix, predictors, responders):
+    """``predictors`` and ``responders`` as tuples of ints, checked to be
+    non-empty, disjoint and in range for ``data`` (ValueError)."""
     pred = tuple(int(c) for c in predictors)
     resp = tuple(int(c) for c in responders)
     if not pred or not resp:
@@ -273,7 +268,18 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
     for c in pred + resp:
         if not 0 <= c < data.p:
             raise ValueError(f"column index {c} out of range for p={data.p}")
+    return pred, resp
 
+
+def build_correlation_model(data: ObservationMatrix, predictors, responders) -> CorrelationModel:
+    """Compute all pairwise correlations needed by the subset search.
+
+    Predictor/predictor correlations and predictor/responder correlations
+    are slices of one :func:`_pairwise` pass over predictors then
+    responders, the routine behind :func:`pearson`, which is what makes
+    later slicing bit-faithful. A constant or overflowing column raises.
+    """
+    pred, resp = _checked_columns(data, predictors, responders)
     n = len(pred)
     full, stats = _pairwise(data.values, pred + resp, pred + resp)
     rx, ry = full[:n, :n], full[n:, :n]

@@ -1,5 +1,7 @@
 """Least-squares baseline: fits, identities, and the two multi-responder schedules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_instance
@@ -9,14 +11,16 @@ from hypothesis import strategies as st
 from bestsubset import (
     DesignMatrix,
     InternalNumericError,
+    ObservationMatrix,
     SingularMatrixError,
+    build_correlation_model,
     fit_multi,
     fit_single,
     gram_products,
     select_best,
 )
 from bestsubset.gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
-from bestsubset.hat import _gram, assemble_xtx, assemble_xty
+from bestsubset.hat import assemble_xtx, assemble_xty
 from bestsubset.stats import column_stats, synthetic_observations
 
 
@@ -134,12 +138,17 @@ def _scalar_fits(cols, ys, ordering):
     """Betas, residuals and sses of every responder by the scalar fit, one
     observation at a time: ordering "a" predicts with X beta, ordering "b"
     through the rows of X (X^T X)^{-1} and X^T y, and takes its betas from
-    a separate solve. The residual pass sums its k + 1 products and the
-    d squares from zero, in order. Raises as the factorisation raises."""
+    a separate solve. The normal equations are ``np.dot``s of the columns,
+    which the Gram kernel reproduces bit for bit. The residual pass sums
+    its k + 1 products and the d squares from zero, in order. Raises as
+    the factorisation raises."""
     d, q = len(cols[0]), len(cols)
-    tables = _gram(np.array(cols + ys), q - 1)
-    xtx = assemble_xtx(tables, range(q - 1))
-    xtys = [assemble_xty(tables, range(q - 1), t) for t in range(len(ys))]
+
+    def normal_matrix():
+        return [[float(np.dot(a, b)) for b in cols] for a in cols]
+
+    xtx = normal_matrix()
+    xtys = [[float(np.dot(y, c)) for c in cols] for y in ys]
     mult, recips = factor_symmetric(xtx, q)
     betas = []
     for xty in xtys:
@@ -155,8 +164,7 @@ def _scalar_fits(cols, ys, ordering):
             forward_apply(mult, v, q)
             rows.append(back_substitute(xtx, recips, v, q))
         vecs = xtys
-        betas = [solve_symmetric(assemble_xtx(tables, range(q - 1)), list(xty))
-                 for xty in xtys]
+        betas = [solve_symmetric(normal_matrix(), list(xty)) for xty in xtys]
     residuals, sses = [], []
     for y, vec in zip(ys, vecs):
         res, sse = [], 0.0
@@ -260,6 +268,39 @@ def test_non_finite_inputs_are_value_errors():
 
 
 def test_unknown_ordering_rejected():
+    """The ordering is checked before any work: an overflowing responder
+    raised InternalNumericError from the Gram table first."""
     X = DesignMatrix([[0.0, 1.0, 2.0]])
-    with pytest.raises(ValueError):
-        fit_multi(X, [[1.0, 2.0, 3.0]], ordering="c")
+    for y in ([1.0, 2.0, 3.0], [1e160, 2e160, 3e160]):
+        with pytest.raises(ValueError, match="unknown ordering 'c'"):
+            fit_multi(X, [y], ordering="c")
+
+
+def test_gram_products_checks_its_columns():
+    """gram_products checks its column lists as the correlation model
+    does: a negative index silently read the last column, and an index
+    past the end raised a bare IndexError."""
+    data = synthetic_observations(10, 3, seed=1)
+    for pred, resp, message in (([-1, 0], [1], "column index -1 out of range for p=3"),
+                                ([0, 3], [1], "column index 3 out of range for p=3"),
+                                ([0, 1], [1], "must be disjoint"),
+                                ([], [1], "need at least one predictor"),
+                                ([0], [], "need at least one predictor")):
+        for build in (gram_products, build_correlation_model):
+            with pytest.raises(ValueError, match=message):
+                build(data, pred, resp)
+
+
+def test_gram_products_holds_one_copy_of_the_rows():
+    """Beside its Gram matrix, gram_products holds only the stacked rows
+    [1; X; Y] it keeps: a fancy-index copy of the columns stacked again
+    peaked at 2.0x the rows."""
+    data = ObservationMatrix(np.random.default_rng(2).standard_normal((2000, 302)))
+    tracemalloc.start()
+    try:
+        tables = gram_products(data, range(300), [300, 301])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables.rows.shape == (303, 2000)
+    assert peak < 1.2 * tables.rows.nbytes

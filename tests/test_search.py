@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import bestsubset.hat as hat
 import bestsubset.search as search
 from bestsubset import (
+    DesignMatrix,
     InternalNumericError,
     InvalidSparsityError,
     LimitExceededError,
@@ -21,6 +22,7 @@ from bestsubset import (
     ObservationMatrix,
     UnknownMethodError,
     build_correlation_model,
+    fit_multi,
     gram_products,
     pearson,
     select_best,
@@ -30,6 +32,7 @@ from bestsubset import cli
 from bestsubset.gauss import solve_symmetric
 from bestsubset.hat import assemble_xtx, assemble_xty, scan_fit_a, scan_fit_b
 from bestsubset.kernels import omega_sq_stacked
+from bestsubset.stats import _dots
 from bestsubset.search import METHODS, ArgminWindow, enumerate_subsets, slice_correlations
 
 
@@ -284,7 +287,8 @@ def _collinear_shifted_instance(seed):
 @pytest.mark.parametrize("seed", [0, 8, 12])
 def test_hat_coefficients_solve_the_scanned_normal_equations(seed):
     """The hat-* winner's coefficients come from the very tables the scan
-    factored, so a subset the scan scored never fails when refitted."""
+    factored, so a subset the scan scored never fails when refitted, and
+    its mse and coefficients are ``fit_multi``'s on the winner's columns."""
     data, pred, resp, k = _collinear_shifted_instance(seed)
     tables = gram_products(data, pred, resp)
     for method in ("hat-a", "hat-b"):
@@ -293,6 +297,10 @@ def test_hat_coefficients_solve_the_scanned_normal_equations(seed):
                                    assemble_xty(tables, r.subset, t))
             assert r.coefficients.beta0 == beta[0]
             assert r.coefficients.betas == tuple(beta[1:])
+            fit, = fit_multi(DesignMatrix([data.column(c) for c in r.subset_columns]),
+                             [data.column(r.responder_column)], ordering=method[-1])
+            assert (r.mse, r.coefficients.beta0, r.coefficients.betas) == (
+                fit.mse, fit.beta[0], fit.beta[1:])
 
 
 def _negative_omega_instance(seed=57):
@@ -505,11 +513,18 @@ def test_winners_do_not_depend_on_responder_units(instance, seed):
         assert picks[0] == picks[1], method
 
 
+def _unchecked_tables(data, pred, resp):
+    """``gram_products``' tables, built past its overflow check."""
+    rows = hat._stacked([data.column(c) for c in [*pred, *resp]])
+    return hat.GramTables(d=data.d, n=len(pred), rows=rows,
+                          g=_dots(lambda lo, hi: rows[lo:hi], *rows.shape))
+
+
 def _lsq_reference(data, pred, resp, k, method):
     """Every subset's scalar least-squares score, and the windows and skip
     count of the one-subset reference scan over them, fed each MSE over
     its responder's variance as ``select_best`` feeds them."""
-    tables = hat._gram(hat._stacked(data, pred, resp), len(pred))
+    tables = _unchecked_tables(data, pred, resp)
     sigma = build_correlation_model(data, pred, resp).resp_sigma
     d, m = data.d, len(resp)
     cols = [[1.0] * d] + [data.column_list(c) for c in pred]
@@ -552,13 +567,12 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
     scores are NaN (tables built past the overflow check, which
     ``select_best`` applies)."""
     data, pred, resp, k = instance
-    rows = hat._stacked(data, pred, resp)
-    tables = hat._gram(rows, len(pred))
+    tables = _unchecked_tables(data, pred, resp)
     total = math.comb(len(pred), k)
     subsets = np.array(list(enumerate_subsets(len(pred), k)), dtype=np.intp)
     for method in ("hat-a", "hat-b"):
         ref_scores, windows, skipped = _lsq_reference(data, pred, resp, k, method)
-        scores, singular = hat._lsq_block(tables, rows, subsets, method)
+        scores, singular = hat._lsq_block(tables, subsets, method, 1.0)
         for subset, row, skip in zip(map(tuple, subsets.tolist()), scores, singular):
             assert skip == (subset not in ref_scores)
             if not skip:
