@@ -1,11 +1,11 @@
 """Gaussian elimination primitives for symmetric systems.
 
-The scalar functions run on Python scalars in lists of lists, so the
-operation-count harness executes them with an instrumented value type.
-:func:`forward_apply` and :func:`back_substitute` only index and do
-arithmetic, so the block scans run them unchanged on numpy entries, one
-element per subset; :func:`_eliminate_block` is :func:`_eliminate` across
-such a block, bit for bit.
+Every primitive only indexes and does arithmetic, so it runs unchanged
+on Python floats in lists of lists, on the operation-count harness's
+counting scalars, and on numpy blocks, where entry (i, j) is an array
+holding that entry of every subset in the block. The one collinearity
+rule, :func:`_collinear`, is the only test on a pivot: a scalar pivot
+below EPS_PIV raises, a block's marks a mask.
 
 Only the upper triangle (including the diagonal) of the input matrix is
 referenced or updated; symmetry supplies the lower triangle. No pivoting
@@ -25,23 +25,34 @@ from .tolerances import EPS_PIV
 __all__ = ["factor_symmetric", "forward_apply", "back_substitute", "solve_symmetric"]
 
 
+def _collinear(i, pivot, singular=False):
+    """The collinearity rule of every method: pivot i is collinear when its
+    magnitude is below EPS_PIV. A scalar pivot (a float, a counting scalar
+    or a numpy scalar) that breaks it raises SingularMatrixError; a block of
+    pivots returns ``singular`` with its collinear entries also set."""
+    bad = abs(pivot) < EPS_PIV
+    if bad is True or bad is np.True_:
+        raise SingularMatrixError(i, float(pivot))
+    return singular | bad
+
+
 def _eliminate(a, n):
-    """Run the first n - 1 pivots of the elimination in place.
+    """Run the first n - 1 pivots of the elimination in place, on lists
+    of scalars or on a q x q x ... numpy block.
 
-    Returns ``(mult, recips)`` as :func:`factor_symmetric` does, except
-    that ``recips[n - 1]`` is still None: the last diagonal entry never
-    serves as a pivot here and is left unchecked, so callers that read it
-    as a determinant ratio see an exact 0 rather than an error.
-
-    Raises SingularMatrixError when one of the first n - 1 pivots falls
-    below the shared collinearity threshold.
+    Returns ``(mult, recips, singular)``: ``mult`` and ``recips`` as
+    :func:`factor_symmetric`'s, except that ``recips[n - 1]`` is still
+    None: the last diagonal entry is left unchecked, so callers that read
+    it as a determinant ratio see an exact 0 rather than an error.
+    ``singular`` is :func:`_collinear`'s mask of a block's collinear
+    entries (False for scalars, which raise instead).
     """
     mult = [[None] * n for _ in range(n)]
     recips = [None] * n
+    singular = False
     for i in range(n - 1):
         pivot = a[i][i]
-        if abs(pivot) < EPS_PIV:
-            raise SingularMatrixError(i, float(pivot))
+        singular = _collinear(i, pivot, singular)
         recip = 1.0 / pivot
         recips[i] = recip
         row_i = a[i]
@@ -51,28 +62,6 @@ def _eliminate(a, n):
             row_j = a[j]
             for p in range(j, n):
                 row_j[p] = row_j[p] - row_i[p] * temp
-    return mult, recips
-
-
-def _eliminate_block(a, q):
-    """:func:`_eliminate` across a q x q x b x m block ``a``, in place.
-
-    Where the scalar elimination raises on a pivot below EPS_PIV, this
-    marks the entry in the returned b x m ``singular`` mask and carries
-    on; later steps of that entry are never read.
-    """
-    mult = [[None] * q for _ in range(q)]
-    recips = [None] * q
-    singular = np.zeros(a.shape[2:], dtype=bool)
-    for i in range(q - 1):
-        pivot = a[i, i]
-        singular |= np.abs(pivot) < EPS_PIV
-        recip = 1.0 / pivot
-        recips[i] = recip
-        for j in range(i + 1, q):
-            temp = a[i, j] * recip
-            mult[i][j] = temp
-            a[j, j:] = a[j, j:] - a[i, j:] * temp
     return mult, recips, singular
 
 
@@ -87,10 +76,9 @@ def factor_symmetric(a, n):
     Raises SingularMatrixError when a pivot falls below the shared
     collinearity threshold, before its reciprocal is taken.
     """
-    mult, recips = _eliminate(a, n)
+    mult, recips, _ = _eliminate(a, n)
     last = a[n - 1][n - 1]
-    if abs(last) < EPS_PIV:
-        raise SingularMatrixError(n - 1, float(last))
+    _collinear(n - 1, last)
     recips[n - 1] = 1.0 / last
     return mult, recips
 

@@ -6,9 +6,10 @@ e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
 lookup from one Gram matrix computed once over the full data by
 :func:`stats._dots`, the kernel behind the correlation model, which
-takes the stacked rows [1; X; Y] as slices, a tile at a time. Only
-:func:`gram_products` builds them, one copy of the selected columns, kept
-with their Gram matrix for the scan, :func:`fit_multi` and the op counter.
+takes the stacked rows [1; X; Y] as slices, a tile at a time. The rows
+are stacked once, kept with their Gram matrix: :func:`gram_products`
+gathers them from the table's columns for the scan and the op counter,
+and :func:`fit_multi` from the design rows and the responders.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalNumericError
-from .gauss import _eliminate_block, back_substitute, factor_symmetric, forward_apply
+from .gauss import _collinear, _eliminate, back_substitute, factor_symmetric, forward_apply
 from .gauss import solve_symmetric
-from .stats import ObservationMatrix, _checked_columns, _dots
-from .tolerances import EPS_PIV
+from .stats import _checked_columns, _dots
 
 __all__ = [
     "GramTables",
@@ -85,14 +85,19 @@ def gram_products(data, predictors, responders) -> GramTables:
     """
     pred, resp = _checked_columns(data, predictors, responders)
     columns = pred + resp
-    rows = _stacked([data.column(c) for c in columns])
+    return _gram_tables(_stacked([data.column(c) for c in columns]), len(pred), columns)
+
+
+def _gram_tables(rows, n, columns) -> GramTables:
+    """GramTables over the stacked rows [1; X; Y] ``rows`` themselves, X
+    of ``n`` rows; the overflow error names row 1 + i ``columns[i]``."""
     g = _dots(lambda lo, hi: rows[lo:hi], *rows.shape)
     bad = np.flatnonzero(~np.isfinite(np.diagonal(g)))
     if len(bad):
         raise InternalNumericError(
             f"column {columns[bad[0] - 1]!r} has a squared norm that overflows float64 "
             "in the least-squares Gram table")
-    return GramTables(d=data.d, n=len(pred), g=g, rows=rows)
+    return GramTables(d=rows.shape[1], n=n, g=g, rows=rows)
 
 
 def assemble_xtx(tables: GramTables, subset):
@@ -114,12 +119,13 @@ def _residual_block(tables, subsets, method):
     """Least-squares residuals of one block of subsets, per responder.
 
     ``method`` is "hat-a" or "hat-b". Returns the b x m x d residuals and
-    the b-mask of subsets whose normal matrix has a pivot below EPS_PIV
+    the b-mask of subsets whose normal matrix breaks the collinearity rule
     (their residuals mean nothing). The normal matrices and X^T y are one
     fancy index each into ``tables.g``, the columns one into
     ``tables.rows``; every later step is the scalar fit's own operation,
-    in its order: the solves are ``gauss.forward_apply``/``back_substitute``
-    themselves, and each prediction sums its k + 1 products from zero.
+    in its order: the elimination and solves are ``gauss._eliminate``,
+    ``forward_apply`` and ``back_substitute`` themselves, run on the
+    block, and each prediction sums its k + 1 products from zero.
     """
     b, k = subsets.shape
     q, d, n, rows = k + 1, tables.d, tables.n, tables.rows
@@ -134,9 +140,9 @@ def _residual_block(tables, subsets, method):
     # skipped subsets divide by tiny pivots, and Python floats overflow
     # to inf and NaN without a warning: the block runs as silently
     with np.errstate(all="ignore"):
-        mult, recips, singular = _eliminate_block(a, q)
-        singular |= np.abs(a[k, k]) < EPS_PIV  # factor_symmetric's last pivot
-        recips[k] = 1.0 / a[k, k]
+        mult, recips, singular = _eliminate(a, q)
+        singular = _collinear(k, a[k][k], singular)  # factor_symmetric's last pivot
+        recips[k] = 1.0 / a[k][k]
         if method == "hat-a":
             forward_apply(mult, xty, q)
             basis, vec = cols, back_substitute(a, recips, xty, q)
@@ -278,8 +284,8 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
     residuals; results agree to rounding. Either way the coefficients come
-    from a solve of the normal equations, assembled from
-    :func:`gram_products` as the scan's are. An unknown ordering, empty
+    from a solve of the normal equations, assembled from Gram tables built
+    as :func:`gram_products` builds the scan's. An unknown ordering, empty
     ``ys`` or a NaN or infinite value raises ValueError, a collinear design
     SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
@@ -292,8 +298,9 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
             raise ValueError("responder length does not match design")
         if not np.isfinite(y).all():
             raise ValueError("responder contains NaN or infinite entries")
-    tables = gram_products(ObservationMatrix._adopt(np.column_stack((*X.rows[1:], *ys))),
-                           range(X.k), range(X.k, X.k + len(ys)))
+    if not ys:
+        raise ValueError("need at least one predictor and one responder column")
+    tables = _gram_tables(np.vstack((X.rows, *ys)), X.k, range(X.k + len(ys)))
     idx = range(X.k)
     residuals, singular = _residual_block(tables, np.array([idx]), "hat-" + ordering)
     if singular[0]:

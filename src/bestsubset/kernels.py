@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalNumericError, SingularMatrixError
-from .gauss import _eliminate, solve_symmetric
-from .tolerances import EPS_PIV, _clamp
+from .errors import InternalNumericError
+from .gauss import _collinear, _eliminate, solve_symmetric
+from .tolerances import _clamp
 
 __all__ = [
     "TriangularCache",
@@ -62,8 +62,7 @@ def _predictor_core(rx, rt, eta, k):
     for i in range(k):
         if i != 0:
             pivot = rx[i][i]
-            if abs(pivot) < EPS_PIV:
-                raise SingularMatrixError(i, float(pivot))
+            _collinear(i, pivot)
             recip = 1.0 / pivot
             eta[i] = recip
             for p in range(i + 1, k):

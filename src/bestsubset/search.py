@@ -8,7 +8,7 @@ j-subset keeps its LDL^T factor, and every extension by one more column
 reuses that factor for a rank-one step, a block of extensions at a time
 in numpy. The per-subset methods stream lexicographic blocks: algorithm1
 triangulates each subset's stacked matrix per responder in
-``gauss._eliminate_block``, and the least-squares baselines (hat-a, hat-b)
+``gauss._eliminate``, and the least-squares baselines (hat-a, hat-b)
 pay each subset's full fit in ``hat._lsq_block``, including a pass over
 all d observations; this module only sizes their blocks, and the fit of
 ``hat.fit_multi`` reports their winners. Every block score is
@@ -16,7 +16,7 @@ bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
 ``hat.scan_fit_a``/``scan_fit_b``), and every window compares omega^2,
 so the tie rule does not depend on the responders' units. Subsets whose
 predictor block is numerically collinear are skipped, and the skip
-decision depends only on the predictors, never on the responder.
+decision, ``gauss._collinear``, depends only on the predictors.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NoValidSubsetError,
     UnknownMethodError,
 )
-from .gauss import _eliminate_block
+from .gauss import _collinear, _eliminate
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
@@ -43,7 +43,7 @@ from .kernels import (
     triangulate,
 )
 from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
-from .tolerances import DEFAULT_PAIR_LIMIT, EPS_PIV, TIE_EPS, _clamp
+from .tolerances import DEFAULT_PAIR_LIMIT, TIE_EPS, _clamp
 
 __all__ = [
     "METHODS",
@@ -175,8 +175,8 @@ def _tree_blocks(rx, ry, k):
 
     Extending S by c costs O(j (n + m)): with ``g = u[:, c] * dinv`` the
     Schur pivot is ``1 - g . u[:, c]``, the new v row ``rho_c - g . v`` and
-    omega drops by its square over the pivot. A pivot below EPS_PIV skips
-    the extension and every subset below it, as in the scalar kernel.
+    omega drops by its square over the pivot. A pivot ``gauss._collinear``
+    rejects skips the extension and every subset below it.
     Leaf omega^2 outside [0, 1] go through the shared range check before
     a leaf block is yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
     """
@@ -197,7 +197,7 @@ def _tree_blocks(rx, ry, k):
             uc = u[p, :, c]
             g = uc * dinv[p]
             pivot = 1.0 - np.einsum("ij,ij->i", g, uc)
-            ok = np.abs(pivot) >= EPS_PIV
+            ok = ~_collinear(j, pivot)
             if not ok.all():
                 p, c, g, pivot = p[ok], c[ok], g[ok], pivot[ok]
                 if not len(p):
@@ -235,8 +235,8 @@ def _lex_blocks(score_block, n, k, block):
     """Blocks of admissible k-subsets and their scores, in lexicographic order.
 
     ``score_block`` takes a b x k array of subsets and returns their
-    b x m scores and the b-mask of those with a predictor pivot below
-    EPS_PIV, which are dropped unread.
+    b x m scores and the b-mask of those with a predictor pivot that
+    ``gauss._collinear`` rejects, which are dropped unread.
     """
     stream = enumerate_subsets(n, k)
     while True:
@@ -263,7 +263,7 @@ def _alg1_block(rx, ry, subsets):
     a[k, k] = 1.0
     # skipped subsets divide by tiny pivots: their entries are never read
     with np.errstate(all="ignore"):
-        singular = _eliminate_block(a, k + 1)[2][:, 0]
+        singular = _eliminate(a, k + 1)[2][:, 0]
     a[k, k][singular] = 0.0
     _range_check(a[k, k], "omega_sq_stacked")
     return a[k, k], singular
@@ -310,7 +310,9 @@ def select_best(
         subsets, they just get there at very different cost.
         cond-uncorrelation walks the subset tree in numpy blocks, sharing
         each prefix's factor with all of its extensions, and re-scores
-        only the winners with the scalar kernels; algorithm1 triangulates
+        only the winners with the paper's Algorithm 2 kernels, whose
+        figures are reported (the walk's own omega^2, the same at every
+        BLOCK, differs from theirs in the last bits); algorithm1 triangulates
         every (subset, responder) pair's stacked matrix, and hat-a and
         hat-b fit every subset, a numpy block of subsets at a time, and
         report each winner's ``hat.fit_multi``. Every tie window compares
@@ -377,8 +379,8 @@ def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> Sele
     else:
         rx, rho = slice_correlations(model, subset, t)
         if method == "cond-uncorrelation":
-            # the scalar kernels score the winner, so the reported figures
-            # do not depend on the batched scan's summation order
+            # the walk's rank-one steps round unlike the paper's Algorithm 2,
+            # whose kernels score the winner, so the figures are Algorithm 2's
             score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
         mse = sigma_y * sigma_y * score
         coeff = coefficients_from_correlations(

@@ -127,18 +127,20 @@ def test_zero_last_pivot_is_a_perfect_fit_not_singular():
     """A zero in the last pivot is omega^2 = 0, not a collinear subset.
 
     ``factor_symmetric`` rejects the same matrices at their last pivot;
-    the stacked kernels must only check the first n - 1.
+    the stacked kernels must only check the first n - 1. The same holds
+    for 2-D float64 arrays, whose pivots are numpy scalars.
     """
     # y = x1 + x2 with corr(x1, x2) = -0.5 is standardised and exactly
     # explained; every step of the elimination is exact in binary floats
     for stacked in ([[1.0, 1.0], [1.0, 1.0]],
                     [[1.0, -0.5, 0.5], [-0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]):
         n = len(stacked)
-        assert uuc_squared(stacked) == 0.0
-        assert omega_sq_stacked([list(row) for row in stacked]) == 0.0
-        with pytest.raises(SingularMatrixError) as err:
-            factor_symmetric([list(row) for row in stacked], n)
-        assert err.value.pivot_index == n - 1
+        for copy in (lambda: [list(row) for row in stacked], lambda: np.array(stacked)):
+            assert uuc_squared(copy()) == 0.0
+            assert omega_sq_stacked(copy()) == 0.0
+            with pytest.raises(SingularMatrixError) as err:
+                factor_symmetric(copy(), n)
+            assert err.value.pivot_index == n - 1
 
 
 def test_inconsistent_input_caught():

@@ -401,7 +401,8 @@ def _scan_instances(draw, kinds=("noise", "duplicate", "collinear")):
 def test_batched_scan_matches_scalar_reference(instance, block):
     """The batched scan picks the winners, skips and counts of scoring
     every subset with the scalar kernels; its own omega^2 agree to 1e-12,
-    and the reported ones are the scalar kernels' exactly."""
+    and the reported ones are the scalar kernels' exactly. The walk's
+    leaves, subsets and omega^2, are the same bytes at every BLOCK."""
     data, pred, resp, k = instance
     model = build_correlation_model(data, pred, resp)
     try:
@@ -410,10 +411,17 @@ def test_batched_scan_matches_scalar_reference(instance, block):
         with pytest.raises(type(err)):
             select_best(data, pred, resp, k)
         return
+
+    def leaf_bytes():
+        blocks = list(search._tree_blocks(model.rx, model.ry, k))
+        return [b"".join(block[i].tobytes() for block in blocks) for i in (0, 1)]
+
+    default = leaf_bytes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "BLOCK", block)
         windows, scored = search._argmin(search._tree_blocks(model.rx, model.ry, k), model.m)
         res = select_best(data, pred, resp, k)
+        assert leaf_bytes() == default
     assert math.comb(model.n, k) - scored == skipped
     for (score, subset), window, r in zip(ref, windows, res):
         got_score, got_subset = window.winner()
