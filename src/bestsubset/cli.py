@@ -10,8 +10,10 @@ Four subcommands:
   measured against predicted operation counts.
 * ``count-ops``: just the measured-vs-predicted count table over a grid.
 
-Reports are emitted on stdout as JSON (versioned schema), CSV or an
-aligned text table. Given the same inputs and seed the emitted report is
+Each subcommand builds its report once, as a dict plus its CSV and text
+renderings, and hands all three to :func:`_emit`, the one writer, which
+puts the JSON (versioned schema), the CSV or the aligned text table on
+stdout. Given the same inputs and seed the emitted report is
 byte-identical across runs, except for wall-time fields. Every
 documented error class maps to its own exit code so shell pipelines can
 tell failure modes apart; see EXIT_CODES.
@@ -271,11 +273,6 @@ def render_json(report) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _record_fields():
-    return ["k", "responder", "subset", "omega_sq_cond", "mse", "r_squared",
-            "beta0", "betas", "skipped_singular", "subsets_evaluated"]
-
-
 def _csv_text(rows) -> str:
     """Rows as RFC-4180 CSV, quoting only cells that need it.
 
@@ -294,34 +291,14 @@ def _csv_text(rows) -> str:
     return "".join(lines)
 
 
-def render_select_csv(report) -> str:
-    fields = _record_fields()
-    rows = [fields]
-    for rec in report["records"]:
-        row = []
-        for f in fields:
-            v = rec[f]
-            if f in ("subset", "betas"):
-                v = ";".join(str(x) for x in v)
-            row.append(str(v))
-        rows.append(row)
-    return _csv_text(rows)
-
-
-def render_select_text(report) -> str:
-    out = [
-        f"method={report['method']} k={report['k']} d={report['d']} "
-        f"n={report['n']} m={report['m']}",
-    ]
-    for rec in report["records"]:
-        out.append(
-            f"  responder {rec['responder']}: subset [{', '.join(map(str, rec['subset']))}]"
-            f"  mse={rec['mse']:.6g}  r2={rec['r_squared']:.6g}"
-            f"  omega2={rec['omega_sq_cond']:.6g}"
-            f"  (skipped {rec['skipped_singular']} singular)"
-        )
-    out.append(f"wall_time_s={report['wall_time_s']:.3f}")
-    return "\n".join(out) + "\n"
+def _emit(fmt, report, csv_text, text) -> None:
+    """Write one report to stdout in ``fmt``: the ``report`` dict as JSON,
+    or its ``csv_text`` or ``text`` rendering. Every subcommand's report
+    reaches stdout here and nowhere else."""
+    if fmt == "json":
+        sys.stdout.write(render_json(report))
+    else:
+        sys.stdout.write(csv_text if fmt == "csv" else text)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +320,13 @@ def _load_instance(args):
     return data, None, list(range(args.n)), list(range(args.n, args.n + args.m))
 
 
-def _selection_records(data, names, pred, resp, ks, method, limit):
+def cmd_select(args) -> int:
+    data, names, pred, resp = _load_instance(args)
+    ks = list(range(1, args.k + 1)) if args.sweep else [args.k]
+    t0 = time.perf_counter()
     records = []
     for k in ks:
-        for r in select_best(data, pred, resp, k, method=method, pair_limit=limit):
+        for r in select_best(data, pred, resp, k, method=args.method, pair_limit=args.limit):
             records.append({
                 "k": k,
                 "responder": _col_label(names, r.responder_column),
@@ -359,14 +339,6 @@ def _selection_records(data, names, pred, resp, ks, method, limit):
                 "skipped_singular": r.skipped_singular,
                 "subsets_evaluated": r.subsets_evaluated,
             })
-    return records
-
-
-def cmd_select(args) -> int:
-    data, names, pred, resp = _load_instance(args)
-    ks = list(range(1, args.k + 1)) if args.sweep else [args.k]
-    t0 = time.perf_counter()
-    records = _selection_records(data, names, pred, resp, ks, args.method, args.limit)
     wall = time.perf_counter() - t0
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -382,12 +354,17 @@ def cmd_select(args) -> int:
         "records": records,
         "wall_time_s": wall,
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(render_select_csv(report))
-    else:
-        sys.stdout.write(render_select_text(report))
+    # select_best returns one record per responder, so records[0] exists
+    rows = [list(records[0])] + [
+        [";".join(map(str, v)) if isinstance(v, list) else str(v) for v in rec.values()]
+        for rec in records]
+    text = [f"method={args.method} k={args.k} d={data.d} n={len(pred)} m={len(resp)}"]
+    text += [f"  responder {rec['responder']}: subset [{', '.join(map(str, rec['subset']))}]"
+             f"  mse={rec['mse']:.6g}  r2={rec['r_squared']:.6g}"
+             f"  omega2={rec['omega_sq_cond']:.6g}"
+             f"  (skipped {rec['skipped_singular']} singular)" for rec in records]
+    text.append(f"wall_time_s={wall:.3f}")
+    _emit(args.format, report, _csv_text(rows), "\n".join(text) + "\n")
     return EXIT_CODES["ok"]
 
 
@@ -437,23 +414,17 @@ def run_verify(data, names, pred, resp, k, limit):
 def cmd_verify(args) -> int:
     data, names, pred, resp = _load_instance(args)
     report, ok = run_verify(data, names, pred, resp, args.k, args.limit)
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        rows = [["responder", "subsets_agree", "mse_agree", "mse_spread"]]
-        for c in report["checks"]:
-            rows.append([c["responder"], c["subsets_agree"], c["mse_agree"],
-                         c["mse_spread"]])
-        rows.append(["pass", ok, "", ""])
-        sys.stdout.write(_csv_text(rows))
-    else:
-        for c in report["checks"]:
-            status = "ok" if c["subsets_agree"] and c["mse_agree"] else "MISMATCH"
-            sys.stdout.write(
-                f"responder {c['responder']}: {status} "
-                f"(mse spread {c['mse_spread']:.3e})\n"
-            )
-        sys.stdout.write(f"verify: {'pass' if ok else 'FAIL'}\n")
+    checks = report["checks"]
+    rows = [["responder", "subsets_agree", "mse_agree", "mse_spread"]]
+    rows += [[c["responder"], c["subsets_agree"], c["mse_agree"], c["mse_spread"]]
+             for c in checks]
+    rows.append(["pass", ok, "", ""])
+    text = "".join(
+        f"responder {c['responder']}: "
+        f"{'ok' if c['subsets_agree'] and c['mse_agree'] else 'MISMATCH'} "
+        f"(mse spread {c['mse_spread']:.3e})\n" for c in checks)
+    text += f"verify: {'pass' if ok else 'FAIL'}\n"
+    _emit(args.format, report, _csv_text(rows), text)
     return EXIT_CODES["ok"] if ok else EXIT_CODES["verification"]
 
 
@@ -479,11 +450,7 @@ def run_bench(d, n, k, m, seed, limit):
         t0 = time.perf_counter()
         results = select_best(data, pred, resp, k, method=method, pair_limit=limit)
         wall = time.perf_counter() - t0
-        timings.append({
-            "method": method,
-            "wall_s": wall,
-            "per_subset_s": wall / nsub,
-        })
+        timings.append({"method": method, "wall_s": wall, "per_subset_s": wall / nsub})
         winners.append(tuple(r.subset_columns for r in results))
     per = {t["method"]: t["per_subset_s"] for t in timings}
     counts = count_table(ks=[k], d=d, ms=[m])
@@ -508,43 +475,31 @@ def run_bench(d, n, k, m, seed, limit):
 
 def cmd_bench(args) -> int:
     report = run_bench(args.d, args.n, args.k, args.m, args.seed, args.limit)
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        lines = ["method,wall_s,per_subset_s,op_ratio_vs_hat_b"]
-        for t in report["timings"]:
-            lines.append(f"{t['method']},{t['wall_s']},{t['per_subset_s']},"
-                         f"{report['op_ratio_vs_hat_b'][t['method']]}")
-        sys.stdout.write("\n".join(lines) + "\n\n")
-        sys.stdout.write(format_count_table(report["counts"], "csv"))
-    else:
-        sys.stdout.write(
-            f"bench d={report['d']} n={report['n']} k={report['k']} "
-            f"m={report['m']} ({report['subsets']} subsets)\n"
-        )
-        for t in report["timings"]:
-            sys.stdout.write(
-                f"  {t['method']:>18}: {t['wall_s']:9.3f} s total, "
-                f"{t['per_subset_s'] * 1e6:10.1f} us/subset\n"
-            )
-        for meth, ratio in report["speedup_vs_hat_b"].items():
-            sys.stdout.write(f"  speedup vs hat-b: {meth:>18} {ratio:8.1f}x\n")
-        for meth, ratio in report["op_ratio_vs_hat_b"].items():
-            sys.stdout.write(f"  op ratio vs hat-b: {meth:>17} {ratio:8.1f}x\n")
-        sys.stdout.write("\n" + format_count_table(report["counts"], "text"))
+    timings, ratios = report["timings"], report["op_ratio_vs_hat_b"]
+    rows = [["method", "wall_s", "per_subset_s", "op_ratio_vs_hat_b"]]
+    rows += [[t["method"], t["wall_s"], t["per_subset_s"], ratios[t["method"]]]
+             for t in timings]
+    rows.append([])  # the blank line before the count table
+    text = [f"bench d={args.d} n={args.n} k={args.k} m={args.m} ({report['subsets']} subsets)"]
+    text += [f"  {t['method']:>18}: {t['wall_s']:9.3f} s total, "
+             f"{t['per_subset_s'] * 1e6:10.1f} us/subset" for t in timings]
+    text += [f"  speedup vs hat-b: {meth:>18} {ratio:8.1f}x"
+             for meth, ratio in report["speedup_vs_hat_b"].items()]
+    text += [f"  op ratio vs hat-b: {meth:>17} {ratio:8.1f}x" for meth, ratio in ratios.items()]
+    text += ["", format_count_table(report["counts"], "text")]
+    _emit(args.format, report,
+          _csv_text(rows) + format_count_table(report["counts"], "csv"), "\n".join(text))
     return EXIT_CODES["ok"]
 
 
 def cmd_count_ops(args) -> int:
+    for flag, value in (("--k", args.k), ("--m", args.m)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     rows = count_table(ks=range(1, args.k + 1), d=args.d, ms=range(1, args.m + 1))
-    if args.format == "json":
-        sys.stdout.write(render_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "count-ops",
-            "rows": rows,
-        }))
-    else:
-        sys.stdout.write(format_count_table(rows, args.format))
+    report = {"schema_version": SCHEMA_VERSION, "command": "count-ops", "rows": rows}
+    _emit(args.format, report, format_count_table(rows, "csv"),
+          format_count_table(rows, "text"))
     return EXIT_CODES["ok"]
 
 
@@ -610,12 +565,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BestSubsetError as exc:
+    except (BestSubsetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exit_code_for(exc)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CODES["config"]
 
 
 if __name__ == "__main__":

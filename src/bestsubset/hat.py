@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import InternalNumericError
 from .gauss import _collinear, _eliminate, back_substitute, factor_symmetric, forward_apply
-from .gauss import solve_symmetric
 from .stats import _checked_columns, _dots
 
 __all__ = [
@@ -284,8 +283,9 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
     residuals; results agree to rounding. Either way the coefficients come
-    from a solve of the normal equations, assembled from Gram tables built
-    as :func:`gram_products` builds the scan's. An unknown ordering, empty
+    from one factorisation of the normal matrix, applied to each
+    responder's X^T y, both assembled from Gram tables built as
+    :func:`gram_products` builds the scan's. An unknown ordering, empty
     ``ys`` or a NaN or infinite value raises ValueError, a collinear design
     SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
@@ -302,12 +302,15 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
         raise ValueError("need at least one predictor and one responder column")
     tables = _gram_tables(np.vstack((X.rows, *ys)), X.k, range(X.k + len(ys)))
     idx = range(X.k)
-    residuals, singular = _residual_block(tables, np.array([idx]), "hat-" + ordering)
-    if singular[0]:
-        # the scalar elimination names the pivot of the collinear design
-        factor_symmetric(assemble_xtx(tables, idx), X.k + 1)
-    betas = [solve_symmetric(assemble_xtx(tables, idx), assemble_xty(tables, idx, t))
-             for t in range(len(ys))]
+    # one factorisation, which names the pivot of a collinear design
+    q, xtx = X.k + 1, assemble_xtx(tables, idx)
+    mult, recips = factor_symmetric(xtx, q)
+    betas = []
+    for t in range(len(ys)):
+        xty = assemble_xty(tables, idx, t)
+        forward_apply(mult, xty, q)
+        betas.append(back_substitute(xtx, recips, xty, q))
+    residuals, _ = _residual_block(tables, np.array([idx]), "hat-" + ordering)
     res = residuals[0].tolist()
     sses = _sse(residuals)[0].tolist()
     return [FitResult(beta=tuple(betas[t]), residual=tuple(res[t]), sse=sses[t],

@@ -301,4 +301,4 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders) -> 
 def synthetic_observations(d: int, p: int, seed: int) -> ObservationMatrix:
     """Independent standard normal columns, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    return ObservationMatrix(rng.standard_normal((d, p)))
+    return ObservationMatrix._adopt(rng.standard_normal((d, p)))  # fresh: no copy

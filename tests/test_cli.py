@@ -1,5 +1,6 @@
 """CSV ingestion, report rendering and command line behaviour."""
 
+import contextlib
 import csv
 import io
 import json
@@ -449,22 +450,41 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert code == 10
 
 
-def test_csv_reports_quote_labels_with_commas(tmp_path, capsys):
-    rng = np.random.default_rng(4)
-    body = "".join(
-        ",".join(repr(float(v)) for v in row) + "\n"
-        for row in rng.normal(size=(20, 4)))
-    for label in ("a,1", "a\rb"):
-        path = write_csv(tmp_path, f'"{label}",b,c,y\n' + body)
-        for command, column in (("select", 1), ("verify", 0)):
-            code, out = run_cli(capsys, [
-                command, "--input", path, "--predictors", "1-3",
-                "--responders", "0", "--k", "1", "--format", "csv",
-            ])
-            assert code == 0
-            table = list(csv.reader(io.StringIO(out, newline="")))
-            assert {len(row) for row in table} == {len(table[0])}
-            assert table[1][column] == label
+def _float_rejects(label):
+    try:
+        float(label.strip())
+    except ValueError:
+        return True
+    return False
+
+
+_LABEL_BODY = "".join(
+    ",".join(repr(float(v)) for v in row) + "\n"
+    for row in np.random.default_rng(4).normal(size=(20, 4)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+       .filter(_float_rejects)
+       .filter(lambda label: label.strip() != "1-3"))  # would name the predictors
+@example("a,1")
+@example("a\rb")
+def test_csv_reports_quote_labels_with_commas(csv_file, label):
+    """Any header label reaches its own cell of the select and verify CSV."""
+    header = io.StringIO()
+    # fully quoted: a writer ending rows in LF leaves a bare CR unquoted
+    csv.writer(header, quoting=csv.QUOTE_ALL, lineterminator="\n").writerow(
+        [label, "b", "c", "y"])
+    path = csv_file(header.getvalue() + _LABEL_BODY)
+    for command, column in (("select", 1), ("verify", 0)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--input", path, "--predictors", "1-3",
+                             "--responders", "0", "--k", "1", "--format", "csv"])
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert {len(row) for row in table} == {len(table[0])}
+        assert table[1][column] == label.strip()
 
 
 @pytest.mark.parametrize("command", ["select", "verify", "bench"])
@@ -547,6 +567,12 @@ def test_exit_code_config_error(tmp_path, capsys):
     path = write_csv(tmp_path, "1,2\n3,4\n5,6\n")
     code = cli.main(["select", "--input", path, "--k", "1"])
     assert code == 2
+    # a count table over no subset size or no responder count is empty
+    for argv, flag in ((["--k", "0"], "--k"), (["--m", "0", "--format", "csv"], "--m"),
+                       (["--k", "-2", "--format", "json"], "--k")):
+        code = cli.main(["count-ops", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and flag in err
 
 
 def test_exit_code_parse(tmp_path, capsys):
