@@ -14,9 +14,9 @@ Each subcommand builds its report once, as a dict plus its CSV and text
 renderings, and hands all three to :func:`_emit`, the one writer, which
 puts the JSON (versioned schema), the CSV or the aligned text table on
 stdout. Given the same inputs and seed the emitted report is
-byte-identical across runs, except for wall-time fields. Every
-documented error class maps to its own exit code so shell pipelines can
-tell failure modes apart; see EXIT_CODES.
+byte-identical across runs, except for wall-time fields. A failed run
+exits with the ``exit_code`` class attribute of its error (see
+:func:`exit_code_for`), so shell pipelines can tell failure modes apart.
 """
 
 from __future__ import annotations
@@ -35,16 +35,9 @@ import numpy as np
 from .errors import (
     ArityMismatchError,
     BestSubsetError,
-    InternalNumericError,
-    InvalidSparsityError,
-    LimitExceededError,
     NonFiniteValueError,
-    NoValidSubsetError,
     ParseError,
-    SingularMatrixError,
-    UnknownMethodError,
     VerificationFailure,
-    ZeroVarianceColumn,
 )
 from .opcount import count_table, format_count_table
 from .search import METHODS, select_best
@@ -59,42 +52,12 @@ SCHEMA_VERSION = 2
 VERIFY_REL = 1e-9
 VERIFY_FLOOR = 1e-12
 
-EXIT_CODES = {
-    "ok": 0,
-    "config": 2,
-    "parse": 3,
-    "arity": 4,
-    "non-finite": 5,
-    "zero-variance": 6,
-    "invalid-sparsity": 7,
-    "no-valid-subset": 8,
-    "singular": 9,
-    "verification": 10,
-    "internal-numeric": 11,
-    "unknown-method": 12,
-    "limit": 13,
-}
-
-_ERROR_CODE_MAP = (
-    (ArityMismatchError, "arity"),
-    (NonFiniteValueError, "non-finite"),
-    (ParseError, "parse"),
-    (ZeroVarianceColumn, "zero-variance"),
-    (InvalidSparsityError, "invalid-sparsity"),
-    (NoValidSubsetError, "no-valid-subset"),
-    (SingularMatrixError, "singular"),
-    (VerificationFailure, "verification"),
-    (InternalNumericError, "internal-numeric"),
-    (UnknownMethodError, "unknown-method"),
-    (LimitExceededError, "limit"),
-)
-
-
 def exit_code_for(exc: BaseException) -> int:
-    for cls, name in _ERROR_CODE_MAP:
-        if isinstance(exc, cls):
-            return EXIT_CODES[name]
-    return EXIT_CODES["config"]
+    """The code ``main`` exits with when ``exc`` ends a run: the class's
+    ``exit_code`` for a package error, the base class's for any other."""
+    if isinstance(exc, BestSubsetError):
+        return exc.exit_code
+    return BestSubsetError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +328,7 @@ def cmd_select(args) -> int:
              f"  (skipped {rec['skipped_singular']} singular)" for rec in records]
     text.append(f"wall_time_s={wall:.3f}")
     _emit(args.format, report, _csv_text(rows), "\n".join(text) + "\n")
-    return EXIT_CODES["ok"]
+    return 0
 
 
 def run_verify(data, names, pred, resp, k, limit):
@@ -425,7 +388,7 @@ def cmd_verify(args) -> int:
         f"(mse spread {c['mse_spread']:.3e})\n" for c in checks)
     text += f"verify: {'pass' if ok else 'FAIL'}\n"
     _emit(args.format, report, _csv_text(rows), text)
-    return EXIT_CODES["ok"] if ok else EXIT_CODES["verification"]
+    return 0 if ok else VerificationFailure.exit_code
 
 
 # the count_table row that counts each method's operations per subset
@@ -489,18 +452,15 @@ def cmd_bench(args) -> int:
     text += ["", format_count_table(report["counts"], "text")]
     _emit(args.format, report,
           _csv_text(rows) + format_count_table(report["counts"], "csv"), "\n".join(text))
-    return EXIT_CODES["ok"]
+    return 0
 
 
 def cmd_count_ops(args) -> int:
-    for flag, value in (("--k", args.k), ("--m", args.m)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
     rows = count_table(ks=range(1, args.k + 1), d=args.d, ms=range(1, args.m + 1))
     report = {"schema_version": SCHEMA_VERSION, "command": "count-ops", "rows": rows}
     _emit(args.format, report, format_count_table(rows, "csv"),
           format_count_table(rows, "text"))
-    return EXIT_CODES["ok"]
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +521,21 @@ def _build_parser():
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Refuse a flag below its least value, before any subcommand runs:
+    a count table needs ``--k`` and ``--m`` of at least 1, and a pair
+    limit cannot be negative (0 means unlimited)."""
+    least = {"k": 1, "m": 1} if args.cmd == "count-ops" else {"limit": 0}
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ValueError(f"--{name} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except (BestSubsetError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

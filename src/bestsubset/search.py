@@ -40,6 +40,8 @@ from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
     conditional_uuc,
+    mse_from_uuc,
+    r_squared_from_uuc,
     triangulate,
 )
 from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
@@ -382,7 +384,7 @@ def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> Sele
             # the walk's rank-one steps round unlike the paper's Algorithm 2,
             # whose kernels score the winner, so the figures are Algorithm 2's
             score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
-        mse = sigma_y * sigma_y * score
+        mse = mse_from_uuc(sigma_y * sigma_y, score)
         coeff = coefficients_from_correlations(
             rx, rho, sigma_y,
             [model.pred_sigma[j] for j in subset],
@@ -397,7 +399,7 @@ def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> Sele
         subset_columns=tuple(model.predictors[j] for j in subset),
         omega_sq_cond=score,
         mse=mse,
-        r_squared=1.0 - score,
+        r_squared=r_squared_from_uuc(score),
         coefficients=coeff,
         skipped_singular=skipped,
         subsets_evaluated=evaluated,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bestsubset import cli, opcount, synthetic_observations
 from bestsubset.errors import (
     ArityMismatchError,
+    BestSubsetError,
     InternalNumericError,
     NonFiniteValueError,
     ParseError,
@@ -573,6 +574,13 @@ def test_exit_code_config_error(tmp_path, capsys):
         code = cli.main(["count-ops", *argv])
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and flag in err
+    # a negative pair limit is a bad flag, not a limit every search exceeds
+    for cmd in ("select", "verify", "bench"):
+        code = cli.main([cmd, "--d", "60", "--n", "6", "--m", "2", "--k", "2",
+                         "--limit", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: --limit must be at least 0, got -1\n"
 
 
 def test_exit_code_parse(tmp_path, capsys):
@@ -644,3 +652,20 @@ def test_exit_code_map_covers_remaining_errors():
     assert cli.exit_code_for(NonFiniteValueError("x")) == 5
     assert cli.exit_code_for(ArityMismatchError("x")) == 4
     assert cli.exit_code_for(ParseError("x")) == 3
+
+
+def test_every_error_class_declares_its_own_distinct_exit_code():
+    classes, todo = [], [BestSubsetError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert len(classes) == 12
+    for cls in classes:
+        assert "exit_code" in vars(cls), cls.__name__
+    codes = [cls.exit_code for cls in classes]
+    assert len(set(codes)) == len(codes)
+    assert 0 not in codes
+    assert cli.exit_code_for(BestSubsetError("x")) == 2
+    for exc in (ValueError("x"), OSError("x"), RuntimeError("x")):
+        assert cli.exit_code_for(exc) == 2

@@ -647,5 +647,5 @@ def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
     for argv in (["verify"], ["select", "--method", "hat-a"]):
         code = cli.main(argv + ["--input", str(path), "--predictors", "a,b,c,d",
                                 "--responders", "y", "--k", "1"])
-        assert code == cli.EXIT_CODES["internal-numeric"]
+        assert code == InternalNumericError.exit_code
         assert "column 0 " in capsys.readouterr().err

@@ -107,7 +107,7 @@ def test_overflowing_variance_rejected(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         code = cli.main(["select", "--input", str(path), "--predictors", "a,b",
                          "--responders", "y", "--k", "1"])
-    assert code == cli.EXIT_CODES["internal-numeric"]
+    assert code == InternalNumericError.exit_code
     assert "column 1 " in capsys.readouterr().err
 
 
