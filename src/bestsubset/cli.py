@@ -26,6 +26,8 @@ import csv
 import io
 import json
 import math
+import os
+import signal
 import sys
 import time
 import warnings
@@ -51,6 +53,11 @@ SCHEMA_VERSION = 2
 # (MSE at rounding-noise level) compare as equal.
 VERIFY_REL = 1e-9
 VERIFY_FLOOR = 1e-12
+
+# CSV ingest parses a file in line-aligned byte ranges of at least this
+# many bytes, one forked parser per available CPU (see _ingest_fast)
+PARSE_PART_BYTES = 1 << 20
+
 
 def exit_code_for(exc: BaseException) -> int:
     """The code ``main`` exits with when ``exc`` ends a run: the class's
@@ -89,6 +96,15 @@ def ingest_csv(path: str):
     exit code, exactly as it would alone. One file reads only by the fast
     path: a data cell longer than ``csv.field_size_limit()`` characters,
     which ``csv.reader`` refuses (the reference raises ParseError there).
+
+    A file of at least twice ``PARSE_PART_BYTES`` is cut into byte
+    ranges, at most one per available CPU and one per
+    ``PARSE_PART_BYTES``, each ending on a line feed after the first
+    record (see :func:`_cuts`). The first range is read as above; each
+    later one by ``np.loadtxt`` in a forked child, whose rows are read
+    into the same array, grown in place, so the table is still held
+    once. A range that fails, here or in a child, hands the whole file to
+    the reference parser, so the values and errors are the same.
     """
     fast = _ingest_fast(path)
     return fast if fast is not None else _ingest_reference(path)
@@ -127,10 +143,172 @@ def _header(record):
     return None
 
 
-def _ingest_fast(path: str):
-    """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over."""
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _cuts(fh):
+    """Offsets ``[0, c1, ..., size]`` cutting the file into byte ranges of
+    about equal size, at most one per available CPU and one per
+    ``PARSE_PART_BYTES``; each range but the last ends just after a line
+    feed.
+
+    Every cut lies after a line feed found after the first one, and the
+    file is not cut at all unless the bytes before that first line feed
+    hold a record and no quote: so the first record, which the reference
+    reads with ``csv.reader``, lies whole in the first range.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    parts = min(_cpus(), size // PARSE_PART_BYTES)
+    if parts < 2:
+        return [0, size]
+    lf, record = 0, False  # the first line feed's offset; a record before it
+    while chunk := fh.read(1 << 16):
+        line = chunk.partition(b"\n")[0]
+        if b'"' in line:
+            return [0, size]
+        record = record or bool(line.removeprefix(b"\xef\xbb\xbf").strip(b"\r"))
+        lf += len(line)
+        if len(line) < len(chunk):
+            break
+    if not chunk or not record:
+        return [0, size]
+    cuts = [0]
+    for i in range(1, parts):
+        pos = max(size * i // parts - 1, lf + 1)
+        fh.seek(pos)
+        while (chunk := fh.read(1 << 16)) and b"\n" not in chunk:
+            pos += len(chunk)  # a line longer than the chunk
+        if not chunk:
+            break
+        cut = pos + chunk.index(b"\n") + 1
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return cuts + [size]
+
+
+class _Range(io.FileIO):
+    """A file read from byte ``start`` as if it ended at byte ``end``."""
+
+    def __init__(self, path, start, end):
+        super().__init__(path, "rb")
+        self.seek(start)
+        self._end = end
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf)[:max(self._end - self.tell(), 0)])
+
+
+def _open_range(path, start, end, encoding):
+    """Bytes ``[start, end)`` of ``path`` as text, read as ``open`` reads."""
+    return io.TextIOWrapper(io.BufferedReader(_Range(path, start, end)),
+                            encoding=encoding, newline="")
+
+
+def _loadtxt(fh):
+    """The rows numpy's C parser reads from ``fh``, as a 2-D array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows
+        return np.loadtxt(fh, dtype=np.float64, delimiter=",",
+                          comments=None, ndmin=2)
+
+
+def _parse_range(path, start, end):
+    """The rows numpy's C parser reads from bytes ``[start, end)``, which
+    begin a line and lie after the first record."""
+    with _open_range(path, start, end, "utf-8") as fh:
+        return _loadtxt(fh)
+
+
+def _fork_parser(path, start, end):
+    """A child running :func:`_parse_range`, as ``(pid, read end of its
+    pipe)``: it writes ``(rows, width)`` and then the rows' float64
+    bytes. Where no pipe or child can be made, the range's array itself,
+    parsed here."""
+    pipe = ()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        pipe = r, w = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork in a process with threads (such
+            # as BLAS's); the child only parses, writes and exits
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        for fd in pipe:
+            os.close(fd)
+        return _parse_range(path, start, end)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            values = _parse_range(path, start, end)
+            with open(w, "wb") as out:
+                out.write(np.array(values.shape, dtype=np.int64).tobytes())
+                out.write(values.data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_exact(fd, view):
+    """Fill ``view`` from ``fd``, or raise ValueError at an early end."""
+    view = view.cast("B")
+    while view.nbytes:
+        got = os.readv(fd, [view])
+        if not got:
+            raise ValueError("a parser ended early")
+        view = view[got:]
+
+
+def _append(values, width, part, children):
+    """``values`` grown in place by a later range's rows, or ValueError
+    when the range failed or its rows are not ``width`` wide."""
+    forked = not isinstance(part, np.ndarray)
+    if forked:
+        pid, fd = part
+        head = np.empty(2, dtype=np.int64)
+        _read_exact(fd, memoryview(head))
+        rows, cols = head.tolist()
+    else:
+        rows, cols = part.shape
+    if rows and cols != width:
+        raise ValueError("a range has rows of another width")
+    start = values.shape[0]
+    if rows:
+        # realloc (mremap for a large table), so the table is held once;
+        # no view of ``values`` exists yet
+        values.resize((start + rows, width), refcheck=False)
+        if forked:
+            _read_exact(fd, memoryview(values[start:]))
+        else:
+            values[start:] = part
+    if forked:
+        os.close(children.pop(pid))
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+            raise ValueError("a parser failed")
+    return values
+
+
+def _ingest_fast(path: str):
+    """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over.
+
+    The first byte range is read here; every later one by a forked
+    child, whose rows are appended after it (see :func:`_cuts`)."""
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        with open(path, "rb") as fh:
+            cuts = _cuts(fh)
+        parts = []
+        for start, end in zip(cuts[1:-1], cuts[2:]):
+            part = _fork_parser(path, start, end)
+            if not isinstance(part, np.ndarray):
+                children[part[0]] = part[1]
+            parts.append(part)
+        with _open_range(path, 0, cuts[1], "utf-8-sig") as fh:
             # the reference's first record; numpy reads on from the handle
             first = next(filter(None, csv.reader(fh)), None)
             if first is None:
@@ -141,16 +319,22 @@ def _ingest_fast(path: str):
                 return None
             if names is None:
                 fh.seek(0)  # the first record is data: numpy reads it too
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows
-                values = np.loadtxt(fh, dtype=np.float64, delimiter=",",
-                                    comments=None, ndmin=2)
+            values = _loadtxt(fh)
+        if values.shape[0] and values.shape[1] != len(first):
+            return None
+        for part in parts:
+            values = _append(values, len(first), part, children)
     except (ValueError, csv.Error):  # a cell numpy refuses, undecodable text
         return None
-    if (values.shape[0] < 2 or values.shape[1] != len(first)
-            or not np.isfinite(values).all()):
+    finally:
+        for pid, fd in children.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        return ObservationMatrix._adopt(values), names
+    except ValueError:  # fewer than 2 rows, or a non-finite value
         return None
-    return ObservationMatrix._adopt(values), names
 
 
 def _ingest_reference(path: str):

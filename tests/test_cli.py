@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,43 +208,130 @@ def csv_file(tmp_path_factory):
     return write
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(_csv_texts())
-@example("a,b\n1_000,2\n3,4\n")
-@example("a,b\n\u0661,2\n3,4\n")
-@example("a,b\n1,2\nnan,4\n")
-@example("a,b\n1,2\n3,inf\n")
-@example("a,b\n1,2\n1e400,4\n")
-@example("a,b\n1,\n3,4\n")
-@example('a,b\n"1",2\n3,4\n')
-@example('a,b\n"1,5",2\n3,4\n')
-@example("a,b\n#1,2\n3,4\n")
-@example("a,b\n#1,2\n3,4\n5,6\n")
-@example("1,2#3\n4,5\n6,7\n")
-@example('"a\n1\n2\n')
-@example("a,b\n1,2,\n3,4,\n")
-@example("a,b\n1,2\n3\n")
-@example("a,b\n1,2\n  \n3,4\n")
-@example("1\n  \n3\n")
-@example("\r\n1,2\r\n\r\n 3 ,4\r\n")
-@example("a,b\r1,2\r\r3,4\r")
-@example("a,b,c\n1,2\n3,4\n")
-@example("1,2\n3,4\n")
-@example("\n\n")
-@example(f"a,b,y\n{_LONG_CELL},2,3\n1_000,5,6\n")
-@example(f"{_LONG_CELL},2\n3,4\n5,6\n")
-@example("\ufeffa,b\n1,2\n3,4\n")
-@example("\ufeff1,2\n3,4\n5,6\n")
-def test_ingest_fast_path_matches_reference_parser(csv_file, text):
-    path = csv_file(text)
+_INGEST_EXAMPLES = (
+    "a,b\n1_000,2\n3,4\n",
+    "a,b\n\u0661,2\n3,4\n",
+    "a,b\n1,2\nnan,4\n",
+    "a,b\n1,2\n3,inf\n",
+    "a,b\n1,2\n1e400,4\n",
+    "a,b\n1,\n3,4\n",
+    'a,b\n"1",2\n3,4\n',
+    'a,b\n"1,5",2\n3,4\n',
+    "a,b\n#1,2\n3,4\n",
+    "a,b\n#1,2\n3,4\n5,6\n",
+    "1,2#3\n4,5\n6,7\n",
+    '"a\n1\n2\n',
+    "a,b\n1,2,\n3,4,\n",
+    "a,b\n1,2\n3\n",
+    "a,b\n1,2\n  \n3,4\n",
+    "1\n  \n3\n",
+    "\r\n1,2\r\n\r\n 3 ,4\r\n",
+    "a,b\r1,2\r\r3,4\r",
+    "a,b,c\n1,2\n3,4\n",
+    "1,2\n3,4\n",
+    "\n\n",
+    f"a,b,y\n{_LONG_CELL},2,3\n1_000,5,6\n",
+    f"{_LONG_CELL},2\n3,4\n5,6\n",
+    "\ufeffa,b\n1,2\n3,4\n",
+    "\ufeff1,2\n3,4\n5,6\n",
+    # cut in three ranges (see test_split_ingest_matches_reference_parser):
+    # a quoted first record running on over lines that read as numbers
+    '"a\n1\n2\n3\n4\n5\n',
+    # a header longer than half the file
+    "a_long_header_name,b_long_header_name\n1,2\n3,4\n",
+    # the second cut's target falls between a CR and its LF
+    "a,b\r\n10,2\r\n3,4\r\n",
+    "a,b\r1,2\r3,4\r5,6\r",
+    # a blank line starts the second range
+    "1,2\n3,4\n\n5,6\n7,8\n",
+    # what the C parser refuses or reads as non-finite, in the last range only
+    "a,b\n1,2\n3,4\n5,6\nnan,8\n",
+    "a,b\n1,2\n3,4\n5,6\n1_000,8\n",
+    "a,b\n1,2\n3,4\n5,6\n7\n",
+    "\ufeffa,b\n1,2\n3,4\n5,6\n",
+)
+
+
+def _ingest_property(test):
+    """``test(csv_file, text)`` over generated texts and every example."""
+    for text in _INGEST_EXAMPLES:
+        test = example(text)(test)
+    return settings(derandomize=True, max_examples=300, deadline=None,
+                    database=None)(given(_csv_texts())(test))
+
+
+def _check_against_reference(path):
     expected = _ingest_outcome(cli._ingest_reference, path)
     if cli._ingest_fast(path) is not None:  # None hands over
         assert _ingest_outcome(cli._ingest_fast, path) == expected
     assert _ingest_outcome(cli.ingest_csv, path) == expected
 
 
-@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
-def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote):
+@contextlib.contextmanager
+def _ranges(parts, part_bytes=None):
+    """Ingest cuts a file in at most ``parts`` ranges (a CPU each) and one
+    per ``part_bytes`` bytes (the module's own bound by default)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_cpus", lambda: parts)
+        if part_bytes is not None:
+            mp.setattr(cli, "PARSE_PART_BYTES", part_bytes)
+        yield
+
+
+@_ingest_property
+def test_ingest_fast_path_matches_reference_parser(csv_file, text):
+    _check_against_reference(csv_file(text))
+
+
+@_ingest_property
+def test_split_ingest_matches_reference_parser(csv_file, text):
+    # every file of 3 bytes or more with a line feed after its first
+    # record is cut in up to three ranges, two of them forked parsers
+    with _ranges(3, part_bytes=1):
+        _check_against_reference(csv_file(text))
+
+
+@pytest.mark.parametrize("text, fork", [
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n", True),
+    ("a,b\n1,x\n3,4\n5,6\n7,8\n", True),
+    ("a,b\n1,2\n3,4\n5,6\n7,x\n", True),
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n", False),
+], ids=["success", "fails-in-first-range", "fails-in-a-child", "fork-fails"])
+def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, fork):
+    path = write_csv(tmp_path, text)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        if not fork:
+            raise OSError("no more processes")
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # Python 3.12+ warns on a fork in a process with threads
+    waiting = threading.Event()
+    thread = threading.Thread(target=waiting.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught, _ranges(3, part_bytes=1):
+            warnings.simplefilter("always")
+            outcome = _ingest_outcome(cli.ingest_csv, path)
+    finally:
+        waiting.set()
+        thread.join(timeout=10)
+    assert not caught
+    assert outcome == _ingest_outcome(cli._ingest_reference, path)
+    assert len(forks) == (2 if fork else 0)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a quoted header is never cut after, so only the plain header splits
+@pytest.mark.parametrize("quote, parts", [("", 1), ('"', 1), ("", 2)],
+                         ids=["plain", "quoted", "plain-split"])
+def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote, parts):
     rng = np.random.default_rng(7)
     table = (rng.standard_normal((2000, 302)) * 10.0 ** rng.uniform(-1, 2, 302)
              + rng.uniform(-1e3, 1e3, 302))
@@ -250,12 +340,15 @@ def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote):
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     del lines
-    tracemalloc.start()
-    try:
-        data, names = cli.ingest_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with _ranges(parts):
+        with open(path, "rb") as fh:
+            assert len(cli._cuts(fh)) == parts + 1  # 11 MB: a range per CPU
+        tracemalloc.start()
+        try:
+            data, names = cli.ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     ref, ref_names = cli._ingest_reference(path)
     assert data.values.tobytes() == ref.values.tobytes() == table.tobytes()
     assert names == ref_names == [f"x{j}" for j in range(300)] + ["y0", "y1"]
