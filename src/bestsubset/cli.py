@@ -100,11 +100,14 @@ def ingest_csv(path: str):
     A file of at least twice ``PARSE_PART_BYTES`` is cut into byte
     ranges, at most one per available CPU and one per
     ``PARSE_PART_BYTES``, each ending on a line feed after the first
-    record (see :func:`_cuts`). The first range is read as above; each
-    later one by ``np.loadtxt`` in a forked child, whose rows are read
-    into the same array, grown in place, so the table is still held
-    once. A range that fails, here or in a child, hands the whole file to
-    the reference parser, so the values and errors are the same.
+    record (see :func:`_cuts`); a file whose first line holds a ``"``,
+    or that has no line feed, is read as one range. The first range is
+    read as above; each later one by ``np.loadtxt`` in a forked child,
+    whose rows are read into the same array, grown in place, so the
+    table is still held once. Every failure has one policy: a range that
+    fails, here or in a child, and a pipe or process the OS refuses,
+    hand the whole file to the reference parser, so the values and
+    errors are the same.
     """
     fast = _ingest_fast(path)
     return fast if fast is not None else _ingest_reference(path)
@@ -215,35 +218,29 @@ def _loadtxt(fh):
                           comments=None, ndmin=2)
 
 
-def _parse_range(path, start, end):
-    """The rows numpy's C parser reads from bytes ``[start, end)``, which
-    begin a line and lie after the first record."""
-    with _open_range(path, start, end, "utf-8") as fh:
-        return _loadtxt(fh)
-
-
 def _fork_parser(path, start, end):
-    """A child running :func:`_parse_range`, as ``(pid, read end of its
-    pipe)``: it writes ``(rows, width)`` and then the rows' float64
-    bytes. Where no pipe or child can be made, the range's array itself,
-    parsed here."""
-    pipe = ()
+    """A child reading bytes ``[start, end)``, which begin a line and lie
+    after the first record, with numpy's C parser, as ``(pid, buffered
+    read end of its pipe)``: it writes ``(rows, width)`` and then the
+    rows' float64 bytes. Where ``os.pipe`` or ``os.fork`` raises
+    OSError, what was opened is closed and the error propagates."""
+    r, w = os.pipe()
     try:
-        pipe = r, w = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns on fork in a process with threads (such
             # as BLAS's); the child only parses, writes and exits
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        for fd in pipe:
-            os.close(fd)
-        return _parse_range(path, start, end)
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         code = 1
         try:
             os.close(r)
-            values = _parse_range(path, start, end)
+            with _open_range(path, start, end, "utf-8") as fh:
+                values = _loadtxt(fh)
             with open(w, "wb") as out:
                 out.write(np.array(values.shape, dtype=np.int64).tobytes())
                 out.write(values.data)
@@ -251,30 +248,16 @@ def _fork_parser(path, start, end):
         finally:
             os._exit(code)
     os.close(w)
-    return pid, r
+    return pid, open(r, "rb")
 
 
-def _read_exact(fd, view):
-    """Fill ``view`` from ``fd``, or raise ValueError at an early end."""
-    view = view.cast("B")
-    while view.nbytes:
-        got = os.readv(fd, [view])
-        if not got:
-            raise ValueError("a parser ended early")
-        view = view[got:]
-
-
-def _append(values, width, part, children):
-    """``values`` grown in place by a later range's rows, or ValueError
-    when the range failed or its rows are not ``width`` wide."""
-    forked = not isinstance(part, np.ndarray)
-    if forked:
-        pid, fd = part
-        head = np.empty(2, dtype=np.int64)
-        _read_exact(fd, memoryview(head))
-        rows, cols = head.tolist()
-    else:
-        rows, cols = part.shape
+def _append(values, width, pipe):
+    """``values`` grown in place by the rows a child writes to ``pipe``,
+    or ValueError when it ended early or its rows are not ``width`` wide."""
+    head = np.empty(2, dtype=np.int64)
+    if pipe.readinto(head) < head.nbytes:
+        raise ValueError("a parser ended early")
+    rows, cols = head.tolist()
     if rows and cols != width:
         raise ValueError("a range has rows of another width")
     start = values.shape[0]
@@ -282,14 +265,8 @@ def _append(values, width, part, children):
         # realloc (mremap for a large table), so the table is held once;
         # no view of ``values`` exists yet
         values.resize((start + rows, width), refcheck=False)
-        if forked:
-            _read_exact(fd, memoryview(values[start:]))
-        else:
-            values[start:] = part
-    if forked:
-        os.close(children.pop(pid))
-        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-            raise ValueError("a parser failed")
+        if pipe.readinto(values[start:]) < values[start:].nbytes:
+            raise ValueError("a parser ended early")
     return values
 
 
@@ -297,17 +274,19 @@ def _ingest_fast(path: str):
     """``ingest_csv``'s result via ``np.loadtxt``, or None to hand over.
 
     The first byte range is read here; every later one by a forked
-    child, whose rows are appended after it (see :func:`_cuts`)."""
-    children = {}  # pid -> read end of its pipe, until the child is reaped
+    child, whose rows are appended after it (see :func:`_cuts`). Every
+    child is killed, if still running, and reaped here, whatever the
+    outcome: a child succeeded when the parent read all its bytes."""
+    children = {}  # pid -> buffered read end of its pipe, in range order
     try:
         with open(path, "rb") as fh:
             cuts = _cuts(fh)
-        parts = []
         for start, end in zip(cuts[1:-1], cuts[2:]):
-            part = _fork_parser(path, start, end)
-            if not isinstance(part, np.ndarray):
-                children[part[0]] = part[1]
-            parts.append(part)
+            try:
+                pid, pipe = _fork_parser(path, start, end)
+            except OSError:  # no pipe or process to be had
+                return None
+            children[pid] = pipe
         with _open_range(path, 0, cuts[1], "utf-8-sig") as fh:
             # the reference's first record; numpy reads on from the handle
             first = next(filter(None, csv.reader(fh)), None)
@@ -322,13 +301,13 @@ def _ingest_fast(path: str):
             values = _loadtxt(fh)
         if values.shape[0] and values.shape[1] != len(first):
             return None
-        for part in parts:
-            values = _append(values, len(first), part, children)
+        for pipe in children.values():
+            values = _append(values, len(first), pipe)
     except (ValueError, csv.Error):  # a cell numpy refuses, undecodable text
         return None
     finally:
-        for pid, fd in children.items():
-            os.close(fd)
+        for pid, pipe in children.items():
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     try:
@@ -707,12 +686,19 @@ def _build_parser():
 
 def _check_ranges(args) -> None:
     """Refuse a flag below its least value, before any subcommand runs:
-    a count table needs ``--k`` and ``--m`` of at least 1, and a pair
-    limit cannot be negative (0 means unlimited)."""
-    least = {"k": 1, "m": 1} if args.cmd == "count-ops" else {"limit": 0}
+    a count table needs ``--k`` and ``--m`` of at least 1, a pair limit
+    cannot be negative (0 means unlimited), and synthetic data (no
+    ``--input``) needs a seed of at least 0, 2 rows, a predictor and a
+    responder."""
+    if args.cmd == "count-ops":
+        least = {"k": 1, "m": 1}
+    elif getattr(args, "input", None):
+        least = {"limit": 0}
+    else:
+        least = {"limit": 0, "seed": 0, "d": 2, "n": 1, "m": 1}
     for name, low in least.items():
         value = getattr(args, name)
-        if value < low:
+        if value is not None and value < low:
             raise ValueError(f"--{name} must be at least {low}, got {value}")
 
 

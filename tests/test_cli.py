@@ -291,19 +291,21 @@ def test_split_ingest_matches_reference_parser(csv_file, text):
         _check_against_reference(csv_file(text))
 
 
-@pytest.mark.parametrize("text, fork", [
-    ("a,b\n1,2\n3,4\n5,6\n7,8\n", True),
-    ("a,b\n1,x\n3,4\n5,6\n7,8\n", True),
-    ("a,b\n1,2\n3,4\n5,6\n7,x\n", True),
-    ("a,b\n1,2\n3,4\n5,6\n7,8\n", False),
-], ids=["success", "fails-in-first-range", "fails-in-a-child", "fork-fails"])
-def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, fork):
+@pytest.mark.parametrize("text, forks_allowed", [
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n", 2),
+    ("a,b\n1,x\n3,4\n5,6\n7,8\n", 2),
+    ("a,b\n1,2\n3,4\n5,6\n7,x\n", 2),
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n", 0),
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n", 1),
+], ids=["success", "fails-in-first-range", "fails-in-a-child", "fork-fails",
+        "second-fork-fails"])
+def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, forks_allowed):
     path = write_csv(tmp_path, text)
     forks = []
     real_fork = os.fork
 
     def counted_fork():
-        if not fork:
+        if len(forks) == forks_allowed:
             raise OSError("no more processes")
         pid = real_fork()
         forks.append(pid)
@@ -315,17 +317,29 @@ def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, fork):
     thread = threading.Thread(target=waiting.wait)
     thread.start()
     try:
+        fds = sorted(os.listdir("/dev/fd"))
         with warnings.catch_warnings(record=True) as caught, _ranges(3, part_bytes=1):
             warnings.simplefilter("always")
             outcome = _ingest_outcome(cli.ingest_csv, path)
+        assert sorted(os.listdir("/dev/fd")) == fds  # every pipe was closed
     finally:
         waiting.set()
         thread.join(timeout=10)
+    assert not thread.is_alive()
     assert not caught
     assert outcome == _ingest_outcome(cli._ingest_reference, path)
-    assert len(forks) == (2 if fork else 0)
+    assert len(forks) == forks_allowed
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# a child killed mid-write leaves a short stream: no head, or fewer rows
+# than its head announces
+@pytest.mark.parametrize("stream", [b"", np.array([2, 2]).tobytes() + bytes(24)],
+                         ids=["no-head", "short-rows"])
+def test_a_parser_that_ended_early_hands_over(stream):
+    with pytest.raises(ValueError):
+        cli._append(np.zeros((1, 2)), 2, io.BytesIO(stream))
 
 
 # a quoted header is never cut after, so only the plain header splits
@@ -674,6 +688,21 @@ def test_exit_code_config_error(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "error: --limit must be at least 0, got -1\n"
+    # synthetic data needs a seed numpy accepts, 2 rows, a predictor and a
+    # responder; the message names the flag, not numpy's complaint
+    synthetic = {"--seed": "0", "--d": "60", "--n": "6", "--m": "2"}
+    for cmd, flag, value, low in (("select", "--seed", "-3", 0), ("bench", "--seed", "-1", 0),
+                                  ("select", "--d", "-5", 2), ("verify", "--d", "1", 2),
+                                  ("select", "--n", "0", 1), ("bench", "--m", "0", 1)):
+        argv = [a for f, v in {**synthetic, flag: value}.items() for a in (f, v)]
+        code = cli.main([cmd, *argv, "--k", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be at least {low}, got {value}\n"
+    # with --input the generator's flags are unused, so they are not checked
+    code = cli.main(["select", "--input", path, "--predictors", "0", "--responders", "1",
+                     "--k", "1", "--seed", "-3", "--d", "-5", "--format", "text"])
+    assert code == 0
 
 
 def test_exit_code_parse(tmp_path, capsys):
