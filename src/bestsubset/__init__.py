@@ -7,72 +7,59 @@ or through the classical least-squares normal equations. In exact
 arithmetic both routes select the same subsets; the determinant route
 gets there in a small fraction of the arithmetic, which the opcount
 module can demonstrate by actually counting.
+
+Each public name is imported from its submodule on first use (PEP 562),
+so a command loads only the modules it runs: ``select`` with
+``cond-uncorrelation`` never loads the least-squares baseline (``hat``)
+or the op counter (``opcount``).
 """
 
-from .errors import (
-    ArityMismatchError,
-    BestSubsetError,
-    InternalNumericError,
-    InvalidSparsityError,
-    LimitExceededError,
-    NonFiniteValueError,
-    NoValidSubsetError,
-    ParseError,
-    SingularMatrixError,
-    UnknownMethodError,
-    VerificationFailure,
-    ZeroVarianceColumn,
-)
-from .hat import DesignMatrix, FitResult, GramTables, fit_multi, fit_single, gram_products
-from .kernels import (
-    ConditionalUuc,
-    RegressionCoefficients,
-    TriangularCache,
-    coefficients_from_correlations,
-    conditional_uuc,
-    mse_from_uuc,
-    omega_sq_stacked,
-    r_squared_from_uuc,
-    triangulate,
-    uuc_squared,
-)
-from .opcount import (
-    OpTally,
-    count_table,
-    format_count_table,
-    measure_counts,
-    predicted_counts,
-)
-from .search import METHODS, SelectionResult, enumerate_subsets, select_best, slice_correlations
-from .stats import (
-    ColumnStats,
-    CorrelationModel,
-    ObservationMatrix,
-    build_correlation_model,
-    column_stats,
-    correlation_matrix,
-    pearson,
-    synthetic_observations,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ObservationMatrix", "ColumnStats", "CorrelationModel",
-    "column_stats", "pearson", "correlation_matrix",
-    "build_correlation_model", "synthetic_observations",
-    "uuc_squared", "omega_sq_stacked", "triangulate", "conditional_uuc",
-    "mse_from_uuc", "r_squared_from_uuc", "coefficients_from_correlations",
-    "TriangularCache", "ConditionalUuc", "RegressionCoefficients",
-    "DesignMatrix", "FitResult", "GramTables",
-    "gram_products", "fit_single", "fit_multi",
-    "METHODS", "SelectionResult", "enumerate_subsets", "slice_correlations",
-    "select_best",
-    "OpTally", "predicted_counts", "measure_counts", "count_table",
-    "format_count_table",
-    "BestSubsetError", "ZeroVarianceColumn", "SingularMatrixError",
-    "InternalNumericError", "InvalidSparsityError", "NoValidSubsetError",
-    "UnknownMethodError", "LimitExceededError", "ParseError",
-    "ArityMismatchError", "NonFiniteValueError", "VerificationFailure",
-    "__version__",
-]
+# each public name, by the submodule that defines it
+_HOMES = {
+    "stats": (
+        "ObservationMatrix", "ColumnStats", "CorrelationModel",
+        "column_stats", "pearson", "correlation_matrix",
+        "build_correlation_model", "synthetic_observations",
+    ),
+    "kernels": (
+        "uuc_squared", "omega_sq_stacked", "triangulate", "conditional_uuc",
+        "mse_from_uuc", "r_squared_from_uuc", "coefficients_from_correlations",
+        "TriangularCache", "ConditionalUuc", "RegressionCoefficients",
+    ),
+    "hat": (
+        "DesignMatrix", "FitResult", "GramTables",
+        "gram_products", "fit_single", "fit_multi",
+    ),
+    "search": (
+        "METHODS", "SelectionResult", "enumerate_subsets", "slice_correlations",
+        "select_best",
+    ),
+    "opcount": (
+        "OpTally", "predicted_counts", "measure_counts", "count_table",
+        "format_count_table",
+    ),
+    "errors": (
+        "BestSubsetError", "ZeroVarianceColumn", "SingularMatrixError",
+        "InternalNumericError", "InvalidSparsityError", "NoValidSubsetError",
+        "UnknownMethodError", "LimitExceededError", "ParseError",
+        "ArityMismatchError", "NonFiniteValueError", "VerificationFailure",
+    ),
+}
+
+__all__ = [name for names in _HOMES.values() for name in names] + ["__version__"]
+
+
+def __getattr__(name):
+    """A public name, imported from its submodule and kept here; any other
+    name raises AttributeError, so ``from bestsubset import cli`` still
+    imports the submodule."""
+    for module, names in _HOMES.items():
+        if name in names:
+            value = getattr(import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

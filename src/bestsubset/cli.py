@@ -41,7 +41,6 @@ from .errors import (
     ParseError,
     VerificationFailure,
 )
-from .opcount import count_table, format_count_table
 from .search import METHODS, select_best
 from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
@@ -566,6 +565,7 @@ def run_bench(d, n, k, m, seed, limit):
     measured wall time per subset (the engine), and ``op_ratio_vs_hat_b``,
     counted operations per subset (the paper's claim).
     """
+    from .opcount import count_table
     data = synthetic_observations(d, n + m, seed=seed)
     pred = list(range(n))
     resp = list(range(n, n + m))
@@ -600,6 +600,7 @@ def run_bench(d, n, k, m, seed, limit):
 
 
 def cmd_bench(args) -> int:
+    from .opcount import format_count_table
     report = run_bench(args.d, args.n, args.k, args.m, args.seed, args.limit)
     timings, ratios = report["timings"], report["op_ratio_vs_hat_b"]
     rows = [["method", "wall_s", "per_subset_s", "op_ratio_vs_hat_b"]]
@@ -619,6 +620,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_count_ops(args) -> int:
+    from .opcount import count_table, format_count_table
     rows = count_table(ks=range(1, args.k + 1), d=args.d, ms=range(1, args.m + 1))
     report = {"schema_version": SCHEMA_VERSION, "command": "count-ops", "rows": rows}
     _emit(args.format, report, format_count_table(rows, "csv"),

@@ -28,7 +28,6 @@ from functools import partial
 
 import numpy as np
 
-from . import hat
 from .errors import (
     InvalidSparsityError,
     LimitExceededError,
@@ -356,6 +355,7 @@ def select_best(
         score = partial(_alg1_block, model.rx, model.ry)
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // ((k + 1) * m))
     else:
+        from . import hat  # the baselines' module, loaded only for hat-*
         score = partial(hat._lsq_block, hat.gram_products(data, pred, resp),
                         method=method, sigma_sq=np.square(model.resp_sigma))
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // (max(m, k + 1) * data.d))
@@ -375,6 +375,7 @@ def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> Sele
     if method in ("hat-a", "hat-b"):
         # the windows hold MSE / sigma^2; the winner's fit repeats the scan's
         # inner products and elimination bit for bit, so it is never singular
+        from . import hat
         design = hat.DesignMatrix([data.column(model.predictors[j]) for j in subset])
         fit, = hat.fit_multi(design, [data.column(model.responders[t])], method[-1])
         mse, coeff = fit.mse, RegressionCoefficients(fit.beta[0], fit.beta[1:])

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import all_cond_scores, make_instance, scan, stack
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bestsubset.hat as hat
@@ -518,6 +518,26 @@ def test_winners_do_not_depend_on_responder_units(instance, seed):
                 picks.append(type(err))
                 continue
             picks.append([(r.subset, r.skipped_singular, r.subsets_evaluated) for r in res])
+        assert picks[0] == picks[1], method
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scan_instances(("noise",)), st.data())
+def test_reordering_predictors_permutes_each_winner(instance, data_strategy):
+    """Every method picks the same columns, as a set, from any ordering of
+    the predictor list. Only draws where brute force puts each
+    responder's runner-up more than 1e-9 above its winner in omega^2 are
+    checked; a closer runner-up may win by rounding in another order."""
+    data, pred, resp, k = instance
+    scores = all_cond_scores(build_correlation_model(data, pred, resp), k)
+    assume(scores)
+    for t in range(len(resp)):
+        ranked = sorted(row[t] for row in scores.values())
+        assume(len(ranked) == 1 or ranked[1] - ranked[0] > 1e-9)
+    shuffled = data_strategy.draw(st.permutations(pred))
+    for method in METHODS:
+        picks = [[set(r.subset_columns) for r in select_best(data, order, resp, k, method=method)]
+                 for order in (pred, shuffled)]
         assert picks[0] == picks[1], method
 
 
