@@ -146,6 +146,8 @@ def _argmin(blocks, m):
         near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
         for i, t in zip(*np.nonzero(near)):
             windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
+        # the scan builds the next block only after this one is freed
+        del subsets, scores, near
     return windows, scored
 
 
@@ -155,9 +157,11 @@ def _range_check(omega, what):
         omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, what)
 
 
-# Subsets handled per numpy pass of the tree walk. Each tree level
-# holds at most this many nodes at a time, so the working set is about
-# BLOCK * k * (n + m) floats per level whatever C(n, k) is.
+# Subsets handled per numpy pass of the tree walk. The walk holds one
+# block of at most this many nodes per level while it walks the levels
+# below it, and a node of size s holds s * (n + m) + m floats of state, so
+# the k levels hold about BLOCK * k * (k + 1) * (n + m) / 2 floats whatever
+# C(n, k) is.
 BLOCK = 512
 
 
@@ -166,58 +170,93 @@ def _tree_blocks(rx, ry, k):
 
     ``rx`` is the n x n predictor correlation matrix and ``ry`` the m x n
     responder rows. The subset tree is walked depth first, one block of
-    extensions at a time, in lexicographic order. A j-subset S carries,
-    in LDL^T form (no square roots):
+    extensions at a time, in lexicographic order. A block of b j-subsets S
+    carries, in LDL^T form (no square roots):
 
-    * ``u = L^-1 R[S, :]`` (j x n), the Schur-updated rows of R;
-    * ``v = L^-1 rho[S, :]`` (j x m), the responders' forward recurrence;
-    * ``dinv``, the j pivot reciprocals;
-    * ``omega``, the m conditional squared UUCs of S.
+    * ``u = L^-1 R[S, :]``, b x j x n, the Schur-updated rows of R;
+    * ``v = L^-1 rho[S, :]``, b x j x m, the responders' forward recurrence;
+    * ``dinv``, b x j, the pivot reciprocals;
+    * ``omega``, b x m, the conditional squared UUCs of S.
 
     Extending S by c costs O(j (n + m)): with ``g = u[:, c] * dinv`` the
     Schur pivot is ``1 - g . u[:, c]``, the new v row ``rho_c - g . v`` and
     omega drops by its square over the pivot. A pivot ``gauss._collinear``
-    rejects skips the extension and every subset below it.
-    Leaf omega^2 outside [0, 1] go through the shared range check before
-    a leaf block is yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
+    rejects skips the extension and every subset below it. A child's
+    state is written once, into arrays of the child's block: its parent's
+    rows are copied into the first j rows, and the new row is computed
+    from them into row j. While the walk descends, a level holds just that
+    state, so the walk's working set is the sum of one block's state per
+    level. Leaves keep only their subsets and omega^2; those outside
+    [0, 1] go through the shared range check before a leaf block is
+    yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
     """
     m, n = ry.shape
     rho = np.ascontiguousarray(ry.T)
+
+    def children(subsets, u, v, dinv, omega, ends, i):
+        # The parents' children numbered i, in order: ``ends`` counts the
+        # children of each parent and those before it, and a parent's
+        # last child is column n - k + j. Returns the admissible ones, as
+        # (subsets, omega) at the leaves and with their u, v and dinv
+        # above them, or None if there are none.
+        j = subsets.shape[1]
+        p = np.searchsorted(ends, i, side="right")
+        c = i + (n - k + j + 1) - ends[p]
+        uc = u[p, :, c]
+        g = uc * dinv[p]
+        pivot = 1.0 - np.einsum("ij,ij->i", g, uc)
+        ok = ~_collinear(j, pivot)
+        if not ok.all():
+            p, c, g, pivot = p[ok], c[ok], g[ok], pivot[ok]
+        b = len(p)
+        if not b:
+            return None
+        child = np.empty((b, j + 1), dtype=np.intp)
+        child[:, :j] = subsets[p]
+        child[:, j] = c
+        leaf = j + 1 == k
+        if leaf:
+            vc = np.einsum("ij,ijt->it", g, v[p])
+        else:
+            cv = np.empty((b, j + 1, m))
+            cv[:, :j] = v[p]
+            vc = cv[:, j]
+            np.einsum("ij,ijt->it", g, cv[:, :j], out=vc)
+        np.subtract(rho[c], vc, out=vc)
+        # a leaf's new v row is not kept: its omega^2 overwrites it
+        child_omega = np.multiply(vc, vc, out=vc if leaf else None)
+        child_omega /= pivot[:, None]
+        np.subtract(omega[p], child_omega, out=child_omega)
+        if leaf:
+            _range_check(child_omega, "conditional_uuc")
+            return child, child_omega
+        cu = np.empty((b, j + 1, n))
+        cu[:, :j] = u[p]
+        np.einsum("ij,ijq->iq", g, cu[:, :j], out=cu[:, j])
+        np.subtract(rx[c], cu[:, j], out=cu[:, j])
+        cd = np.empty((b, j + 1))
+        cd[:, :j] = dinv[p]
+        np.divide(1.0, pivot, out=cd[:, j])
+        return child, cu, cv, cd, child_omega
 
     def extend(subsets, u, v, dinv, omega):
         j = subsets.shape[1]
         last = subsets[:, -1] if j else np.full(len(subsets), -1)
         # children c of S run from max(S) + 1 to the largest column that
         # still leaves room for the k - j - 1 columns after it
-        counts = n - k + j - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        first = np.cumsum(counts) - counts
-        cols = last[parent] + 1 + np.arange(len(parent)) - first[parent]
-        for lo in range(0, len(parent), BLOCK):
-            p, c = parent[lo:lo + BLOCK], cols[lo:lo + BLOCK]
-            uc = u[p, :, c]
-            g = uc * dinv[p]
-            pivot = 1.0 - np.einsum("ij,ij->i", g, uc)
-            ok = ~_collinear(j, pivot)
-            if not ok.all():
-                p, c, g, pivot = p[ok], c[ok], g[ok], pivot[ok]
-                if not len(p):
-                    continue
-            vp = v[p]
-            vc = rho[c] - np.einsum("ij,ijt->it", g, vp)
-            child = np.column_stack((subsets[p], c))
-            child_omega = omega[p] - vc * vc / pivot[:, None]
-            if j + 1 == k:
-                _range_check(child_omega, "conditional_uuc")
-                yield child, child_omega
+        ends = np.cumsum(n - k + j - last)
+        total = int(ends[-1])
+        for lo in range(0, total, BLOCK):
+            block = children(subsets, u, v, dinv, omega, ends,
+                             np.arange(lo, min(lo + BLOCK, total)))
+            if block is None:
                 continue
-            up = u[p]
-            row = rx[c] - np.einsum("ij,ijq->iq", g, up)
-            yield from extend(child,
-                              np.concatenate((up, row[:, None, :]), axis=1),
-                              np.concatenate((vp, vc[:, None, :]), axis=1),
-                              np.column_stack((dinv[p], 1.0 / pivot)),
-                              child_omega)
+            if j + 1 == k:
+                yield block
+            else:
+                yield from extend(*block)
+            # the next block's state is built only after this one is freed
+            del block
 
     # the walk starts from the empty subset: no factor yet, and omega 1
     yield from extend(np.empty((1, 0), dtype=np.intp), np.empty((1, 0, n)),
@@ -273,6 +312,20 @@ def _alg1_block(rx, ry, subsets):
 # ---------------------------------------------------------------------------
 # selection driver
 # ---------------------------------------------------------------------------
+
+def _check_pair_limit(n: int, ks, m: int, pair_limit: int | None) -> None:
+    """Raise LimitExceededError if scoring every k-of-n subset for each k
+    in ``ks`` against m responders exceeds ``pair_limit`` scored pairs
+    (None or 0 for unlimited). A sweep over several k is checked as one
+    total, before any of its scans."""
+    total = sum(math.comb(n, k) for k in ks)
+    if pair_limit and total * m > pair_limit:
+        sizes = f" of sizes {ks[0]}..{ks[-1]}" if len(ks) > 1 else ""
+        raise LimitExceededError(
+            f"{total} subsets{sizes} x {m} responders = {total * m} scored pairs "
+            f"exceeds the limit of {pair_limit}; raise --limit to proceed"
+        )
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -341,12 +394,8 @@ def select_best(
         raise InvalidSparsityError(
             f"k={k} exceeds d-1={data.d - 1}; centering makes such fits singular"
         )
+    _check_pair_limit(n, (k,), m, pair_limit)
     total = math.comb(n, k)
-    if pair_limit and total * m > pair_limit:
-        raise LimitExceededError(
-            f"{total} subsets x {m} responders = {total * m} scored pairs "
-            f"exceeds the limit of {pair_limit}; raise --limit to proceed"
-        )
 
     model = build_correlation_model(data, pred, resp)
     if method == "cond-uncorrelation":

@@ -764,6 +764,23 @@ def test_exit_code_limit(capsys):
     assert code == 13
 
 
+@pytest.mark.parametrize("k, total", [(4, 6195), (5, 21699)])
+def test_sweep_limit_caps_every_size_together(capsys, k, total):
+    """--limit caps a sweep's pairs over all its sizes, checked before any
+    scan: both sweeps below score under 10,000 pairs at each size, and
+    k = 4 finished with 12,390 scored when each size was checked alone."""
+    argv = ["select", "--d", "60", "--n", "20", "--m", "2", "--k", str(k), "--sweep"]
+    assert cli.main(argv + ["--limit", "10000"]) == 13
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {total} subsets of sizes 1..{k} x 2 responders = "
+                   f"{2 * total} scored pairs exceeds the limit of 10000; "
+                   "raise --limit to proceed\n")
+    assert cli.main(argv + ["--limit", str(2 * total)]) == 0
+    out, _ = capsys.readouterr()
+    assert [r["k"] for r in json.loads(out)["records"]] == sorted(list(range(1, k + 1)) * 2)
+
+
 def test_exit_code_map_covers_remaining_errors():
     assert cli.exit_code_for(SingularMatrixError(0, 0.0)) == 9
     assert cli.exit_code_for(VerificationFailure("x")) == 10

@@ -34,6 +34,7 @@ from bestsubset.hat import assemble_xtx, assemble_xty, scan_fit_a, scan_fit_b
 from bestsubset.kernels import omega_sq_stacked
 from bestsubset.stats import _dots
 from bestsubset.search import METHODS, ArgminWindow, enumerate_subsets, slice_correlations
+from bestsubset.tolerances import TIE_EPS
 
 
 def test_enumeration_order_and_count():
@@ -394,7 +395,7 @@ def _scan_instances(draw, kinds=("noise", "duplicate", "collinear")):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(_scan_instances(), st.sampled_from((3, search.BLOCK)))
+@given(_scan_instances(), st.sampled_from((1, 3, search.BLOCK)))
 @example(_collinear_shifted_instance(0), 3)
 @example(_collinear_shifted_instance(8), 3)
 @example(_collinear_shifted_instance(12), search.BLOCK)
@@ -402,7 +403,8 @@ def test_batched_scan_matches_scalar_reference(instance, block):
     """The batched scan picks the winners, skips and counts of scoring
     every subset with the scalar kernels; its own omega^2 agree to 1e-12,
     and the reported ones are the scalar kernels' exactly. The walk's
-    leaves, subsets and omega^2, are the same bytes at every BLOCK."""
+    leaves, subsets and omega^2, are the same bytes at every BLOCK, and
+    at BLOCK 1 a block edge falls between every two children."""
     data, pred, resp, k = instance
     model = build_correlation_model(data, pred, resp)
     try:
@@ -430,6 +432,24 @@ def test_batched_scan_matches_scalar_reference(instance, block):
         assert r.omega_sq_cond == score
         assert r.skipped_singular == skipped
         assert r.subsets_evaluated == math.comb(model.n, k) - skipped
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scan_instances())
+def test_winning_omega_never_grows_with_the_subset(instance):
+    """cond-uncorrelation's winning omega^2 at k + 1 is at most its winning
+    omega^2 at k, within TIE_EPS, for every responder: some (k + 1)-subset
+    holds the k winner, and adding a predictor never raises omega^2."""
+    data, pred, resp, k = instance
+    if k == min(len(pred), data.d - 1):
+        k -= 1
+    assume(k >= 1)
+    try:
+        small, large = (select_best(data, pred, resp, size) for size in (k, k + 1))
+    except (InternalNumericError, NoValidSubsetError):
+        assume(False)
+    for a, b in zip(small, large):
+        assert b.omega_sq_cond <= a.omega_sq_cond + TIE_EPS
 
 
 def _alg1_reference(model, k):
@@ -640,6 +660,29 @@ def test_least_squares_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("n, m, k", [(30, 10, 6), (20, 1000, 4)])
+def test_tree_walk_memory_is_bounded(n, m, k):
+    """The walk holds one block of at most BLOCK nodes per level, and a
+    node of size s holds s (n + m) + m floats, so its k levels hold at
+    most k/2 * BLOCK (k + 1)(n + m) floats, and one block's temporaries
+    at most BLOCK (k + 1)(n + m) more. The tracemalloc peak of walk and
+    argmin stays under the sum, (k/2 + 1) * BLOCK (k + 1)(n + m) floats:
+    4.4 MiB at (n, m, k) = (30, 10, 6), where it reads 2.9 MiB, and
+    59.8 MiB at (20, 1000, 4), where it reads 35.7 MiB (37 KiB per
+    responder). When each block's gathers and concatenates stayed alive
+    below it, each level held its index arrays and the argmin its last
+    block, these read 5.4 and 66.5 MiB."""
+    data = synthetic_observations(200, n + m, seed=7)
+    model = build_correlation_model(data, range(n), range(n, n + m))
+    tracemalloc.start()
+    try:
+        search._argmin(search._tree_blocks(model.rx, model.ry, k), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (k / 2 + 1) * search.BLOCK * (k + 1) * (n + m) * 8
 
 
 def test_nan_scores_never_win():
