@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     VerificationFailure,
 )
-from .search import METHODS, _check_pair_limit, select_best
+from .search import METHODS, _check_pair_limit, _check_size, select_best
 from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
 
@@ -448,9 +448,11 @@ def _load_instance(args):
 def cmd_select(args) -> int:
     data, names, pred, resp = _load_instance(args)
     ks = list(range(1, args.k + 1)) if args.sweep else [args.k]
-    if args.sweep:
-        # the limit caps the whole sweep, so no scan runs if it would pass it
-        _check_pair_limit(len(pred), ks, len(resp), args.limit)
+    # every size, and the limit over the whole sweep, are checked before
+    # any scan runs, so a sweep never fails after reports were built
+    for k in ks:
+        _check_size(len(pred), data.d, k)
+    _check_pair_limit(len(pred), ks, len(resp), args.limit)
     t0 = time.perf_counter()
     records = []
     for k in ks:

@@ -69,12 +69,14 @@ def slice_correlations(model: CorrelationModel, subset, responder: int):
     """Extract one subset's predictor block and responder vector.
 
     Entries come straight out of the precomputed model, so they are
-    bit-identical to computing the correlations pairwise on raw columns.
-    Returns (rx, rho) as fresh nested lists safe to consume, converting
-    only the entries it reads.
+    bit-identical to computing the correlations pairwise on raw columns;
+    a model without ``rx`` serves one-predictor subsets, whose block is
+    [[1.0]]. Returns (rx, rho) as fresh nested lists safe to consume,
+    converting only the entries it reads.
     """
     idx = list(subset)
-    return model.rx[np.ix_(idx, idx)].tolist(), model.ry[responder, idx].tolist()
+    rx = [[1.0]] if model.rx is None else model.rx[np.ix_(idx, idx)].tolist()
+    return rx, model.ry[responder, idx].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,8 @@ def _range_check(omega, what):
 # the k levels hold about BLOCK * k * (k + 1) * (n + m) / 2 floats whatever
 # C(n, k) is.
 BLOCK = 512
+# Floats of the parents' v rows gathered at once for a block of leaves.
+LEAF_FLOATS = 2**16
 
 
 def _tree_blocks(rx, ry, k):
@@ -183,10 +187,12 @@ def _tree_blocks(rx, ry, k):
     omega drops by its square over the pivot. A pivot ``gauss._collinear``
     rejects skips the extension and every subset below it. A child's
     state is written once, into arrays of the child's block: its parent's
-    rows are copied into the first j rows, and the new row is computed
-    from them into row j. While the walk descends, a level holds just that
-    state, so the walk's working set is the sum of one block's state per
-    level. Leaves keep only their subsets and omega^2; those outside
+    rows are copied into the first j rows, one row index at a time, and
+    the new row is computed from them into row j. While the walk descends,
+    a level holds just that state, so the walk's working set is the sum of
+    one block's state per level. A leaf block reads its parents' v rows
+    ``LEAF_FLOATS`` floats at a time and keeps only its subsets and omega^2
+    (``rx`` is never read at k = 1, so it may be None there); those outside
     [0, 1] go through the shared range check before a leaf block is
     yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
     """
@@ -216,10 +222,16 @@ def _tree_blocks(rx, ry, k):
         child[:, j] = c
         leaf = j + 1 == k
         if leaf:
-            vc = np.einsum("ij,ijt->it", g, v[p])
+            # the parents' v rows of a few leaves at a time
+            vc = np.empty((b, m))
+            step = max(LEAF_FLOATS // (j * m), 1) if j else b
+            for lo in range(0, b, step):
+                s = slice(lo, lo + step)
+                np.einsum("ij,ijt->it", g[s], v[p[s]], out=vc[s])
         else:
             cv = np.empty((b, j + 1, m))
-            cv[:, :j] = v[p]
+            for r in range(j):
+                cv[:, r] = v[p, r]
             vc = cv[:, j]
             np.einsum("ij,ijt->it", g, cv[:, :j], out=vc)
         np.subtract(rho[c], vc, out=vc)
@@ -231,7 +243,8 @@ def _tree_blocks(rx, ry, k):
             _range_check(child_omega, "conditional_uuc")
             return child, child_omega
         cu = np.empty((b, j + 1, n))
-        cu[:, :j] = u[p]
+        for r in range(j):
+            cu[:, r] = u[p, r]
         np.einsum("ij,ijq->iq", g, cu[:, :j], out=cu[:, j])
         np.subtract(rx[c], cu[:, j], out=cu[:, j])
         cd = np.empty((b, j + 1))
@@ -291,14 +304,15 @@ def _alg1_block(rx, ry, subsets):
     """algorithm1's omega^2 of one block of subsets, for :func:`_lex_blocks`.
 
     The stacked matrices, responder last, form one q x q x b x m array in
-    ``rx.dtype`` (``opcount`` runs this on counting scalars). After
+    ``ry.dtype`` (``opcount`` runs this on counting scalars). ``rx`` may be
+    None at k = 1, where each predictor block is [[1.0]]. After
     ``gauss._eliminate``'s first k pivots, the last diagonal entry is
     ``kernels.omega_sq_stacked``'s raw ratio bit for bit, range-checked alike.
     """
     b, k = subsets.shape
-    a = np.empty((k + 1, k + 1, b, len(ry)), dtype=rx.dtype)
+    a = np.empty((k + 1, k + 1, b, len(ry)), dtype=ry.dtype)
     s = subsets.T
-    a[:k, :k] = rx[s[:, None, :], s[None, :, :], None]
+    a[:k, :k] = 1.0 if rx is None else rx[s[:, None, :], s[None, :, :], None]
     a[:k, k] = a[k, :k] = ry[:, s].transpose(1, 2, 0)
     a[k, k] = 1.0
     # skipped subsets divide by tiny pivots: their entries are never read
@@ -312,6 +326,16 @@ def _alg1_block(rx, ry, subsets):
 # ---------------------------------------------------------------------------
 # selection driver
 # ---------------------------------------------------------------------------
+
+def _check_size(n: int, d: int, k: int) -> None:
+    """Raise InvalidSparsityError unless 1 <= k <= n and k <= d - 1."""
+    if not 1 <= k <= n:
+        raise InvalidSparsityError(f"subset size k={k} not in 1..{n}")
+    if k > d - 1:
+        raise InvalidSparsityError(
+            f"k={k} exceeds d-1={d - 1}; centering makes such fits singular"
+        )
+
 
 def _check_pair_limit(n: int, ks, m: int, pair_limit: int | None) -> None:
     """Raise LimitExceededError if scoring every k-of-n subset for each k
@@ -388,16 +412,11 @@ def select_best(
     pred = tuple(int(c) for c in predictors)
     resp = tuple(int(c) for c in responders)
     n, m = len(pred), len(resp)
-    if not 1 <= k <= n:
-        raise InvalidSparsityError(f"subset size k={k} not in 1..{n}")
-    if k > data.d - 1:
-        raise InvalidSparsityError(
-            f"k={k} exceeds d-1={data.d - 1}; centering makes such fits singular"
-        )
+    _check_size(n, data.d, k)
     _check_pair_limit(n, (k,), m, pair_limit)
     total = math.comb(n, k)
 
-    model = build_correlation_model(data, pred, resp)
+    model = build_correlation_model(data, pred, resp, k=k)
     if method == "cond-uncorrelation":
         blocks = _tree_blocks(model.rx, model.ry, k)
     elif method == "algorithm1":

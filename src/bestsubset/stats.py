@@ -13,13 +13,16 @@ matrix is bit-identical to recomputing the small matrix from raw data.
 A gemv, GEMM or einsum sums an entry in an order set by its block, so
 none is used. The kernel asks for its rows a tile at a time, so the
 correlations never hold all the centred columns at once: beside the
-table, the model needs two tiles and its own q x q matrix.
+table, the model needs two tiles and the entries the subset scan reads,
+the m x n responder rows and, for subsets of two or more predictors, the
+n x n predictor block; the m x m responder block is never computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -157,43 +160,70 @@ DOT_FLOATS = 2**16
 DOT_MIN_ROWS = 16
 
 
-def _dots(tile, q, d) -> np.ndarray:
+def _cross(ra, rb) -> np.ndarray:
+    """len(ra) x len(rb) matrix of ``np.dot(rb[j], ra[i])``: one broadcast
+    stack of (1 x d) @ (d x 1) matmuls, rows of ``rb`` on the left."""
+    return (rb[None, :, None, :] @ ra[:, None, :, None])[:, :, 0, 0]
+
+
+def _dots(tile, q, d, left=None, p=0) -> np.ndarray:
     """Symmetric q x q matrix of ``np.dot(row i, row j)`` over q rows of
     length d, bit for bit. ``tile(lo, hi)`` returns rows lo..hi-1 as a
     C-contiguous (hi - lo) x d array; each tile is asked for once for
     itself and once per tile before it, and two are held at a time. Each
-    pair of distinct tiles is one broadcast stack of (1 x d) @ (d x 1)
-    matmuls; a tile with itself runs row by row, so only its upper
-    triangle is computed, and the lower triangle mirrors the upper one."""
-    out = np.empty((q, q), dtype=np.float64)
+    pair of distinct tiles is one :func:`_cross` product; a tile with
+    itself runs row by row, so only its upper triangle is computed, and
+    the lower triangle mirrors the upper one. The later row of a pair is
+    always the left operand.
+
+    Given a second source ``left`` of p rows, it returns instead the
+    p x q rectangle of ``np.dot(left row i, row j)``, each pair of tiles
+    one :func:`_cross` product: each tile of ``left`` is asked for once,
+    and each of ``tile`` once per tile of ``left``. Rows of ``left``
+    stand after those of ``tile``, so an entry is the one the square
+    over both sources holds."""
     step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
+    if left is not None:
+        out = np.empty((p, q), dtype=np.float64)
+        for b in range(0, p, step):
+            rb = left(b, min(b + step, p))
+            for a in range(0, q, step):
+                ra = tile(a, min(a + step, q))
+                out[b:b + len(rb), a:a + len(ra)] = _cross(ra, rb).T
+                del ra  # before the next tile is built: two at a time
+        return out
+    out = np.empty((q, q), dtype=np.float64)
     for a in range(0, q, step):
         ra = tile(a, min(a + step, q))
         for i in range(len(ra)):
             out[a + i, a + i:a + len(ra)] = (ra[i:, None, :] @ ra[i, :, None])[:, 0, 0]
         for b in range(a + step, q, step):
             rb = tile(b, min(b + step, q))
-            out[a:a + len(ra), b:b + len(rb)] = (
-                rb[None, :, None, :] @ ra[:, None, :, None])[:, :, 0, 0]
+            out[a:a + len(ra), b:b + len(rb)] = _cross(ra, rb)
             del rb  # before the next tile is built: two at a time
     for i in range(q):
         out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
-def _pairwise(table, cols, labels):
-    """Correlation matrix of the columns ``cols`` of the d x p ``table``
-    plus their ColumnStats.
+def _pairwise(table, cols, labels, n=None, square=True):
+    """Correlations of the columns ``cols`` of the d x p ``table``: the
+    n x n matrix of the first ``n`` (all of them by default), None unless
+    ``square``, the (q - n) x n rows of the rest against those n, and
+    the ColumnStats of all q. The rest are never paired among themselves.
 
-    Each column is centred and checked once; errors name it by ``labels``.
-    :func:`_dots` receives the centred columns a tile at a time, each
-    rebuilt from its column and stored mean by the subtraction that
-    :func:`column_stats` made, so all q x d deviations never exist at
-    once. Entry (i, j) depends only on columns i and j, and np.dot and the
-    sigma product are symmetric in their operands, so any slice of the
-    result, in either orientation, equals the pairwise value bit for bit.
+    Each column is centred and checked once, in order; errors name it by
+    ``labels``. :func:`_dots` receives the centred columns a tile at a
+    time, each rebuilt from its column and stored mean by the subtraction
+    that :func:`column_stats` made, so all q x d deviations never exist
+    at once. Entry (i, j) depends only on columns i and j, and np.dot and
+    the sigma product are symmetric in their operands, so any slice of
+    the result, in either orientation, equals the pairwise value bit for
+    bit. Only the entries computed are range-checked, in the order of
+    the upper triangle of the q x q matrix.
     """
     d = table.shape[0]
+    n = len(cols) if n is None else n
     stats = []
     for c, label in zip(cols, labels):
         s = column_stats(table[:, c])
@@ -203,24 +233,34 @@ def _pairwise(table, cols, labels):
             raise ZeroVarianceColumn(label, s.sigma)
         stats.append(s)
 
-    def deviations(lo, hi):
+    def deviations(lo, hi, first=0):
         tile = np.empty((hi - lo, d))
-        for row, c, s in zip(tile, cols[lo:hi], stats[lo:hi]):
+        for row, c, s in zip(tile, cols[first + lo:first + hi], stats[first + lo:first + hi]):
             np.subtract(table[:, c], s.mean, out=row)
         return tile
 
-    out = _dots(deviations, len(cols), d)
+    sigma = np.array([s.sigma for s in stats])
+    rx = _dots(deviations, n, d) if square else None
+    ry = _dots(deviations, n, d, partial(deviations, first=n), len(cols) - n)
     # scale row by row in place: whole-matrix temporaries would raise
     # the peak memory
-    sigma = np.array([s.sigma for s in stats])
-    for i, row in enumerate(out):
-        row /= d
-        row /= sigma[i] * sigma
-    np.fill_diagonal(out, 1.0)
-    for i, j in zip(*np.nonzero(np.triu(~((out >= -1.0) & (out <= 1.0)), 1))):
-        out[i, j] = out[j, i] = _clamp(
-            float(out[i, j]), -1.0, 1.0, f"pearson({labels[i]!r}, {labels[j]!r})")
-    return out, stats
+    for block, rows in ((rx, sigma[:n]), (ry, sigma[n:])):
+        if block is not None:
+            for s, row in zip(rows, block):
+                row /= d
+                row /= s * sigma[:n]
+    bad = [(j, n + t) for t, j in zip(*np.nonzero(~((ry >= -1.0) & (ry <= 1.0))))]
+    if rx is not None:
+        np.fill_diagonal(rx, 1.0)
+        bad += zip(*np.nonzero(np.triu(~((rx >= -1.0) & (rx <= 1.0)), 1)))
+    for i, j in sorted(bad):
+        value = _clamp(float(rx[i, j] if j < n else ry[j - n, i]), -1.0, 1.0,
+                       f"pearson({labels[i]!r}, {labels[j]!r})")
+        if j < n:
+            rx[i, j] = rx[j, i] = value
+        else:
+            ry[j - n, i] = value
+    return rx, ry, stats
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +271,18 @@ def _pairwise(table, cols, labels):
 class CorrelationModel:
     """Global correlation structure for one selection problem.
 
-    ``rx`` holds predictor/predictor correlations (n x n), ``ry`` holds one
-    row per responder with its correlations against every predictor (m x n),
-    the only stored copy. Means and sigmas are kept so winners can be mapped
+    ``rx`` holds predictor/predictor correlations (n x n), or None in a
+    model that serves only one-predictor subsets, whose block is [[1.0]];
+    ``ry`` holds one row per responder with its correlations against every
+    predictor (m x n), the only stored copy. Responders are never paired
+    with each other. Means and sigmas are kept so winners can be mapped
     back to regression coefficients in original units.
     """
 
     d: int
     predictors: tuple[int, ...]
     responders: tuple[int, ...]
-    rx: np.ndarray
+    rx: np.ndarray | None
     ry: np.ndarray
     pred_mean: tuple[float, ...]
     pred_sigma: tuple[float, ...]
@@ -271,18 +313,21 @@ def _checked_columns(data: ObservationMatrix, predictors, responders):
     return pred, resp
 
 
-def build_correlation_model(data: ObservationMatrix, predictors, responders) -> CorrelationModel:
-    """Compute all pairwise correlations needed by the subset search.
+def build_correlation_model(data: ObservationMatrix, predictors, responders, *,
+                            k: int | None = None) -> CorrelationModel:
+    """Compute the correlations the subset search reads.
 
-    Predictor/predictor correlations and predictor/responder correlations
-    are slices of one :func:`_pairwise` pass over predictors then
-    responders, the routine behind :func:`pearson`, which is what makes
-    later slicing bit-faithful. A constant or overflowing column raises.
+    ``k`` is the largest subset size the model serves; the default serves
+    every size. The responder rows come from one :func:`_pairwise` pass
+    over predictors then responders, the routine behind :func:`pearson`,
+    which is what makes later slicing bit-faithful; the predictor block
+    is computed only for k >= 2, since every one-predictor block is
+    [[1.0]]. A constant or overflowing column raises.
     """
     pred, resp = _checked_columns(data, predictors, responders)
     n = len(pred)
-    full, stats = _pairwise(data.values, pred + resp, pred + resp)
-    rx, ry = full[:n, :n], full[n:, :n]
+    rx, ry, stats = _pairwise(data.values, pred + resp, pred + resp, n,
+                              square=k is None or k >= 2)
     pstats, rstats = stats[:n], stats[n:]
 
     return CorrelationModel(

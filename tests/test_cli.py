@@ -781,6 +781,26 @@ def test_sweep_limit_caps_every_size_together(capsys, k, total):
     assert [r["k"] for r in json.loads(out)["records"]] == sorted(list(range(1, k + 1)) * 2)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "60", "--n", "4", "--m", "2", "--k", "6"], "subset size k=5 not in 1..4"),
+    (["--d", "4", "--n", "6", "--m", "1", "--k", "5"],
+     "k=4 exceeds d-1=3; centering makes such fits singular"),
+])
+def test_sweep_checks_every_size_before_any_scan(monkeypatch, capsys, argv, message):
+    """A sweep past n or d - 1 fails before its first scan, with the
+    message of its first bad size: it scored k = 1..4, then exited 7 and
+    discarded their reports."""
+    calls = []
+    real = cli.select_best
+    monkeypatch.setattr(cli, "select_best",
+                        lambda *args, **kwargs: calls.append(args[3]) or real(*args, **kwargs))
+    assert cli.main(["select", *argv, "--sweep"]) == 7
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert calls == []
+
+
 def test_exit_code_map_covers_remaining_errors():
     assert cli.exit_code_for(SingularMatrixError(0, 0.0)) == 9
     assert cli.exit_code_for(VerificationFailure("x")) == 10

@@ -22,6 +22,7 @@ from bestsubset import (
     ObservationMatrix,
     UnknownMethodError,
     build_correlation_model,
+    correlation_matrix,
     fit_multi,
     gram_products,
     pearson,
@@ -255,17 +256,49 @@ def test_factorisation_amortised_once_per_subset(monkeypatch):
 def test_select_best_keeps_one_copy_of_the_model():
     """The correlation model is stored once, as an array: no whole-model
     list mirror, which alone would cost about 4x the matrix's bytes (the
-    one-subset-at-a-time algorithm1 scan read 5.12x)."""
-    n, m = 150, 2
+    one-subset-at-a-time algorithm1 scan read 5.12x). At k = 2, so that
+    the model holds its n x n predictor block, and with n > BLOCK, so
+    that the walk's first level, BLOCK rows of n, and the gather that
+    fills it stay below the model: the walk reads 2.5x, algorithm1 1.6x.
+    At n = 150 the walk's first level held all n - 1 rows, 3.1x."""
+    n, m = 700, 2
     data = synthetic_observations(100, n + m, seed=5)
     for method in ("cond-uncorrelation", "algorithm1"):
         tracemalloc.start()
         try:
-            select_best(data, range(n), [n, n + 1], 1, method=method)
+            select_best(data, range(n), [n, n + 1], 2, method=method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * (n + m) ** 2 * 8, method
+
+
+def test_one_predictor_selection_builds_no_predictor_block(monkeypatch):
+    """At k = 1 no method reads a predictor pair, so the model holds none:
+    at n = 2000 the n x n block alone is 32 MB. The peak stays under half
+    of it, beside the (1 + n + m)^2 Gram table of hat-*, which still pairs
+    every row: it reads 1.0 MiB, and 38.6 MiB with a 30.6 MiB table. When
+    the model held all (n + m)^2 correlations, it read 42.5 and 69.1 MiB."""
+    n, m = 2000, 2
+    data = synthetic_observations(50, n + m, seed=3)
+    models = []
+    build = search.build_correlation_model
+
+    def recording(*args, **kwargs):
+        models.append(build(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(search, "build_correlation_model", recording)
+    for method in METHODS:
+        tracemalloc.start()
+        try:
+            select_best(data, range(n), range(n, n + m), 1, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = (1 + n + m) ** 2 * 8 if method.startswith("hat") else 0
+        assert models.pop().rx is None, method
+        assert peak < gram + n * n * 8 / 2, method
 
 
 def _collinear_shifted_instance(seed):
@@ -432,6 +465,24 @@ def test_batched_scan_matches_scalar_reference(instance, block):
         assert r.omega_sq_cond == score
         assert r.skipped_singular == skipped
         assert r.subsets_evaluated == math.comb(model.n, k) - skipped
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_scan_instances())
+def test_model_holds_slices_of_the_correlation_matrix(instance):
+    """A model's rx and ry are byte for byte the slices of the correlation
+    matrix over predictors then responders, whether it serves every size
+    or only up to k; one that serves only k = 1 holds no rx."""
+    data, pred, resp, k = instance
+    n = len(pred)
+    full = correlation_matrix(data, pred + resp)
+    for size in (None, k):
+        model = build_correlation_model(data, pred, resp, k=size)
+        assert model.ry.tobytes() == np.ascontiguousarray(full[n:, :n]).tobytes()
+        if size == 1:
+            assert model.rx is None
+        else:
+            assert model.rx.tobytes() == np.ascontiguousarray(full[:n, :n]).tobytes()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -662,6 +713,19 @@ def test_least_squares_scan_memory_is_bounded():
     assert peak < 2_000_000
 
 
+def _walk_peak(n, m, k):
+    """tracemalloc peak of walk and argmin, in bytes, on a model of
+    ``synthetic_observations(200, n + m, seed=7)``."""
+    data = synthetic_observations(200, n + m, seed=7)
+    model = build_correlation_model(data, range(n), range(n, n + m))
+    tracemalloc.start()
+    try:
+        search._argmin(search._tree_blocks(model.rx, model.ry, k), m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n, m, k", [(30, 10, 6), (20, 1000, 4)])
 def test_tree_walk_memory_is_bounded(n, m, k):
     """The walk holds one block of at most BLOCK nodes per level, and a
@@ -669,20 +733,20 @@ def test_tree_walk_memory_is_bounded(n, m, k):
     most k/2 * BLOCK (k + 1)(n + m) floats, and one block's temporaries
     at most BLOCK (k + 1)(n + m) more. The tracemalloc peak of walk and
     argmin stays under the sum, (k/2 + 1) * BLOCK (k + 1)(n + m) floats:
-    4.4 MiB at (n, m, k) = (30, 10, 6), where it reads 2.9 MiB, and
-    59.8 MiB at (20, 1000, 4), where it reads 35.7 MiB (37 KiB per
+    4.4 MiB at (n, m, k) = (30, 10, 6), where it reads 2.7 MiB, and
+    59.8 MiB at (20, 1000, 4), where it reads 28.0 MiB (29 KiB per
     responder). When each block's gathers and concatenates stayed alive
     below it, each level held its index arrays and the argmin its last
     block, these read 5.4 and 66.5 MiB."""
-    data = synthetic_observations(200, n + m, seed=7)
-    model = build_correlation_model(data, range(n), range(n, n + m))
-    tracemalloc.start()
-    try:
-        search._argmin(search._tree_blocks(model.rx, model.ry, k), m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (k / 2 + 1) * search.BLOCK * (k + 1) * (n + m) * 8
+    assert _walk_peak(n, m, k) < (k / 2 + 1) * search.BLOCK * (k + 1) * (n + m) * 8
+
+
+def test_leaves_gather_a_few_parents_at_a_time():
+    """A leaf block gathers its parents' v rows LEAF_FLOATS floats at a time, and
+    a child block copies them one row of the parents at a time: at
+    (n, m, k) = (20, 1000, 4) the walk reads 28.0 MiB. It read 35.7 MiB
+    when a leaf block gathered all of them (512 x 3 x 1000 floats)."""
+    assert _walk_peak(20, 1000, 4) < 30 * 2**20
 
 
 def test_nan_scores_never_win():

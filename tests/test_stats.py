@@ -205,6 +205,10 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
             for i in range(q):
                 for j in range(q):
                     assert dots[i, j] == float(np.dot(rows[i], rows[j]))
+            h = q // 2
+            rect = _dots(lambda lo, hi: rows[lo:hi], h, d,
+                         lambda lo, hi: rows[h + lo:h + hi], q - h)
+            assert rect.tobytes() == dots[h:, :h].copy().tobytes()
             assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
 
 
@@ -273,6 +277,22 @@ def test_model_holds_a_few_tiles_of_a_tall_table():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * data.values.nbytes
+
+
+def test_model_pairs_no_responders():
+    """The model computes the n (n + m) correlations the scan reads and
+    never the m x m responder block: at n = 20, m = 4000, d = 1000 its
+    peak stays within four times those entries plus the kernel's two
+    tiles (2.5 MiB). With the responder block it read 170 MiB."""
+    n, m = 20, 4000
+    data = synthetic_observations(1000, n + m, seed=7)
+    tracemalloc.start()
+    try:
+        build_correlation_model(data, range(n), range(n, n + m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * (n + m) * 8 + 2 * stats.DOT_FLOATS * 8
 
 
 def test_model_slices_match_pairwise_pearson():
