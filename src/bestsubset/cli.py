@@ -503,7 +503,11 @@ def run_verify(data, names, pred, resp, k, limit):
 
     Returns (report, ok). MSEs must agree within VERIFY_REL relative plus
     a VERIFY_FLOOR * sigma_y^2 absolute floor; winners must be identical.
+    ``limit`` caps the pairs of all the methods together, checked before
+    any scan.
     """
+    _check_size(len(pred), data.d, k)
+    _check_pair_limit(len(pred), (k,), len(resp), limit, len(METHODS))
     by_method = {
         method: select_best(data, pred, resp, k, method=method, pair_limit=limit)
         for method in METHODS
@@ -568,9 +572,12 @@ def run_bench(d, n, k, m, seed, limit):
 
     Two ratios over hat-b are reported per method: ``speedup_vs_hat_b``,
     measured wall time per subset (the engine), and ``op_ratio_vs_hat_b``,
-    counted operations per subset (the paper's claim).
+    counted operations per subset (the paper's claim). ``limit`` caps the
+    pairs of all the methods together, checked before any scan.
     """
     from .opcount import count_table
+    _check_size(n, d, k)
+    _check_pair_limit(n, (k,), m, limit, len(METHODS))
     data = synthetic_observations(d, n + m, seed=seed)
     pred = list(range(n))
     resp = list(range(n, n + m))

@@ -4,12 +4,13 @@ The baseline scores a subset by actually fitting the regression: solve
 (X^T X) beta = X^T y by Gaussian elimination, form the residual
 e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
-lookup from one Gram matrix computed once over the full data by
-:func:`stats._dots`, the kernel behind the correlation model, which
-takes the stacked rows [1; X; Y] as slices, a tile at a time. The rows
-are stacked once, kept with their Gram matrix: :func:`gram_products`
-gathers them from the table's columns for the scan and the op counter,
-and :func:`fit_multi` from the design rows and the responders.
+lookup from one Gram table, the inner products of [1; X; Y] with [1; X],
+computed once over the full data by :func:`stats._dots`, the kernel
+behind the correlation model, which takes the stacked rows as slices, a
+tile at a time. The rows are stacked once, kept with their Gram table:
+:func:`gram_products` gathers them from the table's columns for the scan
+and the op counter, and :func:`fit_multi` from the design rows and the
+responders.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -53,8 +54,9 @@ __all__ = [
 @dataclass(frozen=True)
 class GramTables:
     """The ``rows`` [1; X; Y] (all-ones, n predictors, m responders), one
-    contiguous d-vector each, and ``g``, their Gram matrix: every inner
-    product the subset scan will ever look up, by position."""
+    contiguous d-vector each, and ``g``, the (1 + n + m) x (1 + n) table of
+    their inner products with [1; X]: every one the subset scan will ever
+    look up, by position."""
 
     d: int
     n: int
@@ -73,8 +75,8 @@ def _stacked(columns) -> np.ndarray:
 
 
 def gram_products(data, predictors, responders) -> GramTables:
-    """Stack the rows [1; X; Y] once and precompute all their pairwise
-    inner products, with numpy.
+    """Stack the rows [1; X; Y] once and precompute their inner products
+    with [1; X], with numpy.
 
     This is the one-time global pass; everything after it assembles
     subset-level matrices purely by lookup. The columns are checked as
@@ -89,9 +91,14 @@ def gram_products(data, predictors, responders) -> GramTables:
 
 def _gram_tables(rows, n, columns) -> GramTables:
     """GramTables over the stacked rows [1; X; Y] ``rows`` themselves, X
-    of ``n`` rows; the overflow error names row 1 + i ``columns[i]``."""
-    g = _dots(lambda lo, hi: rows[lo:hi], *rows.shape)
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(g)))
+    of ``n`` rows, filled as the model is: the square of [1; X], then Y
+    against it. The overflow error names row 1 + i ``columns[i]``."""
+    g = np.empty((len(rows), 1 + n))
+    _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], rows.shape[1])
+    _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], rows.shape[1],
+          lambda lo, hi: rows[1 + n + lo:1 + n + hi])
+    norms = np.concatenate((np.diagonal(g), [r @ r for r in rows[1 + n:]]))
+    bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
         raise InternalNumericError(
             f"column {columns[bad[0] - 1]!r} has a squared norm that overflows float64 "
@@ -119,12 +126,13 @@ def _residual_block(tables, subsets, method):
 
     ``method`` is "hat-a" or "hat-b". Returns the b x m x d residuals and
     the b-mask of subsets whose normal matrix breaks the collinearity rule
-    (their residuals mean nothing). The normal matrices and X^T y are one
-    fancy index each into ``tables.g``, the columns one into
-    ``tables.rows``; every later step is the scalar fit's own operation,
-    in its order: the elimination and solves are ``gauss._eliminate``,
-    ``forward_apply`` and ``back_substitute`` themselves, run on the
-    block, and each prediction sums its k + 1 products from zero.
+    (their residuals mean nothing). The normal matrices and X^T y (the
+    responders' rows of ``tables.g``) are one fancy index each into it,
+    the columns one into ``tables.rows``; every later step is the scalar
+    fit's own operation, in its order: the elimination and solves are
+    ``gauss._eliminate``, ``forward_apply`` and ``back_substitute``
+    themselves, run on the block, and each prediction sums its k + 1
+    products from zero.
     """
     b, k = subsets.shape
     q, d, n, rows = k + 1, tables.d, tables.n, tables.rows
@@ -134,7 +142,7 @@ def _residual_block(tables, subsets, method):
     # entry (i, j) of the normal matrix is a b x 1 column, so it
     # broadcasts against the b x m and b x d right hand sides
     a = tables.g[pos[:, None, :], pos[None, :, :], None]
-    xty = list(tables.g[pos[:, :, None], 1 + n + np.arange(len(y))])
+    xty = list(tables.g[1 + n + np.arange(len(y)), pos[:, :, None]])
     cols = list(rows[pos])
     # skipped subsets divide by tiny pivots, and Python floats overflow
     # to inf and NaN without a warning: the block runs as silently

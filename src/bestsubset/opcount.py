@@ -233,7 +233,7 @@ def _run_counted(method, data, model, k, m, tally):
     else:
         tables = hat.gram_products(data, range(k), range(k, k + m))
         g, rows = wrap(tables.g), wrap(tables.rows)
-        # [1; X] is rows 0..k of the Gram matrix, and responder t row k+1+t
+        # [1; X] is rows 0..k of the Gram table, and responder t row k+1+t
         xtx, xtys = g[:k + 1, :k + 1].tolist(), g[k + 1:, :k + 1].tolist()
         fit = hat.scan_fit_b if method == "hat-b" else hat.scan_fit_a
         fit(xtx, xtys, rows[:k + 1].tolist(), rows[k + 1:].tolist(), data.d)

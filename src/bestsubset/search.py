@@ -165,7 +165,8 @@ def _range_check(omega, what):
 # the k levels hold about BLOCK * k * (k + 1) * (n + m) / 2 floats whatever
 # C(n, k) is.
 BLOCK = 512
-# Floats of the parents' v rows gathered at once for a block of leaves.
+# Floats gathered at once: the parents' v rows for a block of leaves, and
+# the rows of rx for a block of inner nodes.
 LEAF_FLOATS = 2**16
 
 
@@ -190,8 +191,9 @@ def _tree_blocks(rx, ry, k):
     rows are copied into the first j rows, one row index at a time, and
     the new row is computed from them into row j. While the walk descends,
     a level holds just that state, so the walk's working set is the sum of
-    one block's state per level. A leaf block reads its parents' v rows
-    ``LEAF_FLOATS`` floats at a time and keeps only its subsets and omega^2
+    one block's state per level. A leaf block reads its parents' v rows,
+    and an inner block the rows ``rx[c]``, ``LEAF_FLOATS`` floats at a
+    time; a leaf block keeps only its subsets and omega^2
     (``rx`` is never read at k = 1, so it may be None there); those outside
     [0, 1] go through the shared range check before a leaf block is
     yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
@@ -246,7 +248,10 @@ def _tree_blocks(rx, ry, k):
         for r in range(j):
             cu[:, r] = u[p, r]
         np.einsum("ij,ijq->iq", g, cu[:, :j], out=cu[:, j])
-        np.subtract(rx[c], cu[:, j], out=cu[:, j])
+        step = max(LEAF_FLOATS // n, 1)
+        for lo in range(0, b, step):  # the rows rx[c] a few at a time
+            s = slice(lo, lo + step)
+            np.subtract(rx[c[s]], cu[s, j], out=cu[s, j])
         cd = np.empty((b, j + 1))
         cd[:, :j] = dinv[p]
         np.divide(1.0, pivot, out=cd[:, j])
@@ -337,16 +342,19 @@ def _check_size(n: int, d: int, k: int) -> None:
         )
 
 
-def _check_pair_limit(n: int, ks, m: int, pair_limit: int | None) -> None:
+def _check_pair_limit(n: int, ks, m: int, pair_limit: int | None, methods: int = 1) -> None:
     """Raise LimitExceededError if scoring every k-of-n subset for each k
-    in ``ks`` against m responders exceeds ``pair_limit`` scored pairs
-    (None or 0 for unlimited). A sweep over several k is checked as one
-    total, before any of its scans."""
+    in ``ks`` against m responders, once per each of ``methods`` methods,
+    exceeds ``pair_limit`` scored pairs (None or 0 for unlimited). A sweep
+    over several k, or a run of several methods, is checked as one total,
+    before any of its scans."""
     total = sum(math.comb(n, k) for k in ks)
-    if pair_limit and total * m > pair_limit:
+    pairs = total * m * methods
+    if pair_limit and pairs > pair_limit:
         sizes = f" of sizes {ks[0]}..{ks[-1]}" if len(ks) > 1 else ""
+        each = f" x {methods} methods" if methods > 1 else ""
         raise LimitExceededError(
-            f"{total} subsets{sizes} x {m} responders = {total * m} scored pairs "
+            f"{total} subsets{sizes} x {m} responders{each} = {pairs} scored pairs "
             f"exceeds the limit of {pair_limit}; raise --limit to proceed"
         )
 

@@ -6,16 +6,16 @@ depend on that choice; keeping one convention everywhere just makes the
 intermediate quantities comparable across modules.
 
 Every inner product, of the correlations and of the least-squares Gram
-tables alike, comes out of one kernel, :func:`_dots`: vector-vector
-matmuls, which numpy hands to the BLAS ddot that ``np.dot`` calls. So
-entry (i, j) depends only on rows i and j, and slicing a precomputed
-matrix is bit-identical to recomputing the small matrix from raw data.
-A gemv, GEMM or einsum sums an entry in an order set by its block, so
-none is used. The kernel asks for its rows a tile at a time, so the
-correlations never hold all the centred columns at once: beside the
-table, the model needs two tiles and the entries the subset scan reads,
-the m x n responder rows and, for subsets of two or more predictors, the
-n x n predictor block; the m x m responder block is never computed.
+tables alike, comes out of one kernel, :func:`_dots`, which fills the
+table it is handed with vector-vector matmuls: numpy hands each to the
+BLAS ddot that ``np.dot`` calls. So entry (i, j) depends only on rows i
+and j, and a slice of a table is bit-identical to the small table
+recomputed from raw data. A gemv, GEMM or einsum sums an entry in an
+order set by its block, so none is used. The kernel asks for its rows a
+tile at a time, so the correlations never hold all the centred columns
+at once: beside the table, the model needs two tiles and the entries
+the subset scan reads, the m x n responder rows and, for subsets of two
+or more predictors, the n x n predictor block, never the m x m one.
 """
 
 from __future__ import annotations
@@ -160,50 +160,38 @@ DOT_FLOATS = 2**16
 DOT_MIN_ROWS = 16
 
 
-def _cross(ra, rb) -> np.ndarray:
-    """len(ra) x len(rb) matrix of ``np.dot(rb[j], ra[i])``: one broadcast
-    stack of (1 x d) @ (d x 1) matmuls, rows of ``rb`` on the left."""
-    return (rb[None, :, None, :] @ ra[:, None, :, None])[:, :, 0, 0]
+def _dots(out, tile, d, left=None) -> None:
+    """Fill ``out`` with ``np.dot`` of pairs of rows of length d, bit for
+    bit. ``tile(lo, hi)``, like ``left``, returns rows lo..hi-1 as a
+    C-contiguous (hi - lo) x d array. A q x q ``out`` becomes the symmetric
+    matrix over q rows of ``tile``; given ``left``, a p x q ``out`` becomes
+    the rectangle of ``np.dot(left row i, row j)``, the entries of the
+    square over both sources, rows of ``left`` after those of ``tile``.
 
-
-def _dots(tile, q, d, left=None, p=0) -> np.ndarray:
-    """Symmetric q x q matrix of ``np.dot(row i, row j)`` over q rows of
-    length d, bit for bit. ``tile(lo, hi)`` returns rows lo..hi-1 as a
-    C-contiguous (hi - lo) x d array; each tile is asked for once for
-    itself and once per tile before it, and two are held at a time. Each
-    pair of distinct tiles is one :func:`_cross` product; a tile with
-    itself runs row by row, so only its upper triangle is computed, and
-    the lower triangle mirrors the upper one. The later row of a pair is
-    always the left operand.
-
-    Given a second source ``left`` of p rows, it returns instead the
-    p x q rectangle of ``np.dot(left row i, row j)``, each pair of tiles
-    one :func:`_cross` product: each tile of ``left`` is asked for once,
-    and each of ``tile`` once per tile of ``left``. Rows of ``left``
-    stand after those of ``tile``, so an entry is the one the square
-    over both sources holds."""
+    Each pair of tiles is one stack of (1 x d) @ (d x 1) matmuls, later row
+    on the left, written straight into its block of ``out`` (in the square,
+    through the transpose, above the diagonal); a tile with itself runs row
+    by row, upper triangle only, then mirrored. Each tile of the later
+    source is asked for once, each earlier one once per later one; two are
+    held at a time."""
+    p, q = out.shape
     step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
-    if left is not None:
-        out = np.empty((p, q), dtype=np.float64)
-        for b in range(0, p, step):
-            rb = left(b, min(b + step, p))
-            for a in range(0, q, step):
-                ra = tile(a, min(a + step, q))
-                out[b:b + len(rb), a:a + len(ra)] = _cross(ra, rb).T
-                del ra  # before the next tile is built: two at a time
-        return out
-    out = np.empty((q, q), dtype=np.float64)
-    for a in range(0, q, step):
-        ra = tile(a, min(a + step, q))
-        for i in range(len(ra)):
-            out[a + i, a + i:a + len(ra)] = (ra[i:, None, :] @ ra[i, :, None])[:, 0, 0]
-        for b in range(a + step, q, step):
-            rb = tile(b, min(b + step, q))
-            out[a:a + len(ra), b:b + len(rb)] = _cross(ra, rb)
-            del rb  # before the next tile is built: two at a time
-    for i in range(q):
-        out[i + 1:, i] = out[i, i + 1:]
-    return out
+    square = left is None
+    blocks = out.T if square else out
+    for b in range(0, p, step):
+        rb = (tile if square else left)(b, min(b + step, p))
+        if square:
+            for i in range(len(rb)):
+                np.matmul(rb[i:, None, :], rb[i, :, None],
+                          out=out[b + i, b + i:b + len(rb), None, None])
+        for a in range(0, b if square else q, step):
+            ra = tile(a, min(a + step, q))
+            np.matmul(rb[:, None, None, :], ra[None, :, :, None],
+                      out=blocks[b:b + len(rb), a:a + len(ra), None, None])
+            del ra  # before the next tile is built: two at a time
+    if square:
+        for i in range(q):
+            out[i + 1:, i] = out[i, i + 1:]
 
 
 def _pairwise(table, cols, labels, n=None, square=True):
@@ -240,8 +228,11 @@ def _pairwise(table, cols, labels, n=None, square=True):
         return tile
 
     sigma = np.array([s.sigma for s in stats])
-    rx = _dots(deviations, n, d) if square else None
-    ry = _dots(deviations, n, d, partial(deviations, first=n), len(cols) - n)
+    rx = np.empty((n, n)) if square else None
+    ry = np.empty((len(cols) - n, n))
+    if square:
+        _dots(rx, deviations, d)
+    _dots(ry, deviations, d, partial(deviations, first=n))
     # scale row by row in place: whole-matrix temporaries would raise
     # the peak memory
     for block, rows in ((rx, sigma[:n]), (ry, sigma[n:])):

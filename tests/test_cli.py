@@ -781,6 +781,24 @@ def test_sweep_limit_caps_every_size_together(capsys, k, total):
     assert [r["k"] for r in json.loads(out)["records"]] == sorted(list(range(1, k + 1)) * 2)
 
 
+@pytest.mark.parametrize("argv, subsets, over, limit", [
+    (["verify", "--d", "60", "--n", "10", "--m", "2", "--k", "3"], 120, 300, 960),
+    (["bench", "--d", "60", "--n", "8", "--k", "3", "--m", "2"], 56, 120, 448),
+])
+def test_limit_caps_every_method_together(capsys, argv, subsets, over, limit):
+    """verify and bench run all four methods, and --limit caps their pairs
+    together, checked before any scan: each method alone scores under
+    the lower limit, which verify and bench passed when each method was
+    checked alone."""
+    assert cli.main(argv + ["--limit", str(over)]) == 13
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {subsets} subsets x 2 responders x 4 methods = {limit} "
+                   f"scored pairs exceeds the limit of {over}; raise --limit to proceed\n")
+    assert cli.main(argv + ["--limit", str(limit)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--d", "60", "--n", "4", "--m", "2", "--k", "6"], "subset size k=5 not in 1..4"),
     (["--d", "4", "--n", "6", "--m", "1", "--k", "5"],

@@ -19,6 +19,7 @@ from bestsubset import (
     gram_products,
     select_best,
 )
+from bestsubset import stats
 from bestsubset.gauss import back_substitute, factor_symmetric, forward_apply, solve_symmetric
 from bestsubset.hat import assemble_xtx, assemble_xty
 from bestsubset.stats import column_stats, synthetic_observations
@@ -304,3 +305,22 @@ def test_gram_products_holds_one_copy_of_the_rows():
         tracemalloc.stop()
     assert tables.rows.shape == (303, 2000)
     assert peak < 1.2 * tables.rows.nbytes
+
+
+def test_gram_table_pairs_no_responders():
+    """The Gram table pairs [1; X; Y] only with [1; X], the entries its
+    readers look up: at n = 20, m = 4000, d = 1000, beside the rows it
+    keeps, gram_products peaks within four times those (1 + n)(1 + n + m)
+    entries plus the kernel's two tiles (34.3 MiB in all). It reads
+    31.7 MiB; with the (1 + n + m)^2 table it read 154.2 MiB."""
+    n, m = 20, 4000
+    data = synthetic_observations(1000, n + m, seed=7)
+    tracemalloc.start()
+    try:
+        tables = gram_products(data, range(n), range(n, n + m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables.g.shape == (1 + n + m, 1 + n)
+    assert peak < (tables.rows.nbytes + 4 * (1 + n) * (1 + n + m) * 8
+                   + 2 * stats.DOT_FLOATS * 8)

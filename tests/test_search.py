@@ -259,26 +259,29 @@ def test_select_best_keeps_one_copy_of_the_model():
     one-subset-at-a-time algorithm1 scan read 5.12x). At k = 2, so that
     the model holds its n x n predictor block, and with n > BLOCK, so
     that the walk's first level, BLOCK rows of n, and the gather that
-    fills it stay below the model: the walk reads 2.5x, algorithm1 1.6x.
-    At n = 150 the walk's first level held all n - 1 rows, 3.1x."""
+    fills it stay below the model: the walk reads 1.89x, algorithm1 1.63x.
+    At n = 150 the walk's first level held all n - 1 rows, 3.1x, and the
+    walk read 2.48x while it gathered the level's BLOCK rows of rx at once."""
     n, m = 700, 2
     data = synthetic_observations(100, n + m, seed=5)
-    for method in ("cond-uncorrelation", "algorithm1"):
+    for method, bound in (("cond-uncorrelation", 2.2), ("algorithm1", 3)):
         tracemalloc.start()
         try:
             select_best(data, range(n), [n, n + 1], 2, method=method)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * (n + m) ** 2 * 8, method
+        assert peak < bound * (n + m) ** 2 * 8, method
 
 
 def test_one_predictor_selection_builds_no_predictor_block(monkeypatch):
     """At k = 1 no method reads a predictor pair, so the model holds none:
     at n = 2000 the n x n block alone is 32 MB. The peak stays under half
-    of it, beside the (1 + n + m)^2 Gram table of hat-*, which still pairs
-    every row: it reads 1.0 MiB, and 38.6 MiB with a 30.6 MiB table. When
-    the model held all (n + m)^2 correlations, it read 42.5 and 69.1 MiB."""
+    of it, beside the (1 + n + m) x (1 + n) Gram table of hat-*, which
+    pairs every row with [1; X]: it reads 1.0 MiB, and 32.9 MiB with a
+    30.6 MiB table (38.6 MiB when the kernel built each pair of tiles in
+    a temporary). When the model held all (n + m)^2 correlations, it read
+    42.5 and 69.1 MiB."""
     n, m = 2000, 2
     data = synthetic_observations(50, n + m, seed=3)
     models = []
@@ -296,7 +299,7 @@ def test_one_predictor_selection_builds_no_predictor_block(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        gram = (1 + n + m) ** 2 * 8 if method.startswith("hat") else 0
+        gram = (1 + n + m) * (1 + n) * 8 if method.startswith("hat") else 0
         assert models.pop().rx is None, method
         assert peak < gram + n * n * 8 / 2, method
 
@@ -615,8 +618,12 @@ def test_reordering_predictors_permutes_each_winner(instance, data_strategy):
 def _unchecked_tables(data, pred, resp):
     """``gram_products``' tables, built past its overflow check."""
     rows = hat._stacked([data.column(c) for c in [*pred, *resp]])
-    return hat.GramTables(d=data.d, n=len(pred), rows=rows,
-                          g=_dots(lambda lo, hi: rows[lo:hi], *rows.shape))
+    n = len(pred)
+    g = np.empty((len(rows), 1 + n))
+    _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], data.d)
+    _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], data.d,
+          lambda lo, hi: rows[1 + n + lo:1 + n + hi])
+    return hat.GramTables(d=data.d, n=n, rows=rows, g=g)
 
 
 def _lsq_reference(data, pred, resp, k, method):
@@ -643,9 +650,10 @@ def _lsq_reference(data, pred, resp, k, method):
 
 
 def _overflowing_gram_instance(col=2, k=2):
-    """Column ``col`` sits near 1e160, so its Gram entries overflow to inf
-    and every subset holding it scores NaN, in the scalar fit as in the
-    block; ``gram_products`` rejects it."""
+    """Column ``col`` sits near 1e160, so its squared norm overflows to
+    inf, and ``gram_products`` rejects it. As a predictor, its Gram
+    entries overflow too, and every subset holding it scores NaN, in the
+    scalar fit as in the block."""
     x = np.random.default_rng(3).standard_normal((20, 5))
     x[:, col] = 1e160 + 1e150 * x[:, col]
     return ObservationMatrix(x), [0, 1, 2, 3], [4], k
@@ -678,7 +686,7 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
                 assert row.tobytes() == np.array(ref_scores[subset]).tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "LSQ_FLOATS", floats)
-            if not np.isfinite(np.diagonal(tables.g)).all():
+            if not np.isfinite([r @ r for r in tables.rows]).all():
                 with pytest.raises(InternalNumericError):
                     select_best(data, pred, resp, k, method=method)
                 continue
@@ -776,3 +784,20 @@ def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
                                 "--responders", "y", "--k", "1"])
         assert code == InternalNumericError.exit_code
         assert "column 0 " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_overflowing_responder_is_an_error():
+    """A responder's squared norm is not in the Gram table, which pairs
+    [1; X; Y] only with [1; X], so it is checked on its own: a responder
+    near 1e160 is an error naming it, from the scan's tables and from
+    ``fit_multi``'s. Its variance and its products with [1; X] stay
+    finite, so nothing else raises."""
+    data, pred, resp, k = _overflowing_gram_instance(col=4)
+    for method in ("hat-a", "hat-b"):
+        with pytest.raises(InternalNumericError, match="column 4 "):
+            select_best(data, pred, resp, k, method=method)
+    design = DesignMatrix([data.column(c) for c in pred])
+    for ordering in ("a", "b"):
+        with pytest.raises(InternalNumericError, match="column 4 "):
+            fit_multi(design, [data.column(4)], ordering=ordering)

@@ -182,10 +182,13 @@ def _column_picks(draw):
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(_column_picks())
 def test_inner_product_kernel_is_pairwise_np_dot(instance):
-    """Every entry of the kernel is np.dot of its two rows, and every
+    """Every entry the kernel fills is np.dot of its two rows, and every
     correlation is the pairwise formula on separately centred columns,
     byte for byte, whatever the length, order and repeats, and whether
-    tiles hold 1, 2 or 3 rows or the default budget."""
+    tiles hold 1, 2 or 3 rows or the default budget. Filled into the row
+    blocks of a wider table, as the Gram table is, the square over the
+    first rows and the rectangle of the rest against them are the
+    square's columns over those rows."""
     data, cols = instance
     d, q = data.d, len(cols)
     rows = np.ascontiguousarray(data.values[:, cols].T)
@@ -201,14 +204,17 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
             if tile_rows is not None:
                 mp.setattr(stats, "DOT_FLOATS", tile_rows * d)
                 mp.setattr(stats, "DOT_MIN_ROWS", 1)
-            dots = _dots(lambda lo, hi: rows[lo:hi], q, d)
+            dots = np.full((q, q), np.nan)
+            _dots(dots, lambda lo, hi: rows[lo:hi], d)
             for i in range(q):
                 for j in range(q):
                     assert dots[i, j] == float(np.dot(rows[i], rows[j]))
             h = q // 2
-            rect = _dots(lambda lo, hi: rows[lo:hi], h, d,
-                         lambda lo, hi: rows[h + lo:h + hi], q - h)
-            assert rect.tobytes() == dots[h:, :h].copy().tobytes()
+            wide = np.full((q, h), np.nan)
+            _dots(wide[:h], lambda lo, hi: rows[lo:hi], d)
+            _dots(wide[h:], lambda lo, hi: rows[lo:hi], d,
+                  lambda lo, hi: rows[h + lo:h + hi])
+            assert wide.tobytes() == dots[:, :h].copy().tobytes()
             assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
 
 
