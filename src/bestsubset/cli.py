@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     VerificationFailure,
 )
-from .search import METHODS, _check_pair_limit, _check_size, select_best
+from .search import METHODS, _check_request, select_best
 from .stats import ObservationMatrix, synthetic_observations
 from .tolerances import DEFAULT_PAIR_LIMIT
 
@@ -431,44 +431,60 @@ def _emit(fmt, report, csv_text, text) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_instance(args):
-    """Data plus resolved predictor/responder indices, from file or seed."""
+    """``(data, pred, resp, names)`` from file or seed; names is None without a header."""
     if args.input:
         data, names = ingest_csv(args.input)
         if not args.predictors or not args.responders:
             raise ValueError("--predictors and --responders are required with --input")
         pred = parse_column_spec(args.predictors, names, data.p, "--predictors")
         resp = parse_column_spec(args.responders, names, data.p, "--responders")
-        return data, names, pred, resp
+        return data, pred, resp, names
     if args.d is None or args.n is None or args.m is None:
         raise ValueError("either --input or all of --d/--n/--m are required")
-    data = synthetic_observations(args.d, args.n + args.m, seed=args.seed)
-    return data, None, list(range(args.n)), list(range(args.n, args.n + args.m))
+    return *_synthetic(args.d, args.n, args.m, args.seed), None
+
+
+def _synthetic(d, n, m, seed):
+    """A synthetic instance ``(data, pred, resp)``: ``d`` rows of ``n``
+    predictor columns, then ``m`` responder columns, drawn from ``seed``."""
+    return synthetic_observations(d, n + m, seed=seed), list(range(n)), list(range(n, n + m))
+
+
+def _scans(data, pred, resp, ks, methods, limit):
+    """``(k, method, results, seconds)`` of each ``select_best`` call of
+    one request, for each k of ``ks`` and each of ``methods``, in order.
+    The whole request is checked first, so it fails before its first scan,
+    and ``limit`` caps all its scans together. ``data`` may be the
+    ``(d, seed)`` of a synthetic instance, drawn once the request passes."""
+    d, seed = data if isinstance(data, tuple) else (data.d, None)
+    _check_request(len(pred), d, ks, len(resp), limit, len(methods))
+    if seed is not None:
+        data = _synthetic(d, len(pred), len(resp), seed)[0]
+    for k in ks:
+        for method in methods:
+            t0 = time.perf_counter()
+            results = select_best(data, pred, resp, k, method=method, pair_limit=limit)
+            yield k, method, results, time.perf_counter() - t0
 
 
 def cmd_select(args) -> int:
-    data, names, pred, resp = _load_instance(args)
-    ks = list(range(1, args.k + 1)) if args.sweep else [args.k]
-    # every size, and the limit over the whole sweep, are checked before
-    # any scan runs, so a sweep never fails after reports were built
-    for k in ks:
-        _check_size(len(pred), data.d, k)
-    _check_pair_limit(len(pred), ks, len(resp), args.limit)
+    data, pred, resp, names = _load_instance(args)
+    # a sweep to k < 1 asks for that size alone, which the check refuses
+    ks = list(range(1, args.k + 1)) if args.sweep and args.k > 0 else [args.k]
     t0 = time.perf_counter()
-    records = []
-    for k in ks:
-        for r in select_best(data, pred, resp, k, method=args.method, pair_limit=args.limit):
-            records.append({
-                "k": k,
-                "responder": _col_label(names, r.responder_column),
-                "subset": [_col_label(names, c) for c in r.subset_columns],
-                "omega_sq_cond": r.omega_sq_cond,
-                "mse": r.mse,
-                "r_squared": r.r_squared,
-                "beta0": r.coefficients.beta0,
-                "betas": list(r.coefficients.betas),
-                "skipped_singular": r.skipped_singular,
-                "subsets_evaluated": r.subsets_evaluated,
-            })
+    records = [{
+        "k": k,
+        "responder": _col_label(names, r.responder_column),
+        "subset": [_col_label(names, c) for c in r.subset_columns],
+        "omega_sq_cond": r.omega_sq_cond,
+        "mse": r.mse,
+        "r_squared": r.r_squared,
+        "beta0": r.coefficients.beta0,
+        "betas": list(r.coefficients.betas),
+        "skipped_singular": r.skipped_singular,
+        "subsets_evaluated": r.subsets_evaluated,
+    } for k, _, results, _ in _scans(data, pred, resp, ks, [args.method], args.limit)
+        for r in results]
     wall = time.perf_counter() - t0
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -506,12 +522,8 @@ def run_verify(data, names, pred, resp, k, limit):
     ``limit`` caps the pairs of all the methods together, checked before
     any scan.
     """
-    _check_size(len(pred), data.d, k)
-    _check_pair_limit(len(pred), (k,), len(resp), limit, len(METHODS))
-    by_method = {
-        method: select_best(data, pred, resp, k, method=method, pair_limit=limit)
-        for method in METHODS
-    }
+    by_method = {method: results
+                 for _, method, results, _ in _scans(data, pred, resp, (k,), METHODS, limit)}
     checks = []
     ok = True
     for t in range(len(resp)):
@@ -546,7 +558,7 @@ def run_verify(data, names, pred, resp, k, limit):
 
 
 def cmd_verify(args) -> int:
-    data, names, pred, resp = _load_instance(args)
+    data, pred, resp, names = _load_instance(args)
     report, ok = run_verify(data, names, pred, resp, args.k, args.limit)
     checks = report["checks"]
     rows = [["responder", "subsets_agree", "mse_agree", "mse_spread"]]
@@ -576,18 +588,10 @@ def run_bench(d, n, k, m, seed, limit):
     pairs of all the methods together, checked before any scan.
     """
     from .opcount import count_table
-    _check_size(n, d, k)
-    _check_pair_limit(n, (k,), m, limit, len(METHODS))
-    data = synthetic_observations(d, n + m, seed=seed)
-    pred = list(range(n))
-    resp = list(range(n, n + m))
     nsub = math.comb(n, k)
-    timings = []
-    winners = []
-    for method in METHODS:
-        t0 = time.perf_counter()
-        results = select_best(data, pred, resp, k, method=method, pair_limit=limit)
-        wall = time.perf_counter() - t0
+    timings, winners = [], []
+    for _, method, results, wall in _scans((d, seed), range(n), range(n, n + m), (k,),
+                                           METHODS, limit):
         timings.append({"method": method, "wall_s": wall, "per_subset_s": wall / nsub})
         winners.append(tuple(r.subset_columns for r in results))
     per = {t["method"]: t["per_subset_s"] for t in timings}
@@ -700,12 +704,12 @@ def _build_parser():
 
 def _check_ranges(args) -> None:
     """Refuse a flag below its least value, before any subcommand runs:
-    a count table needs ``--k`` and ``--m`` of at least 1, a pair limit
-    cannot be negative (0 means unlimited), and synthetic data (no
-    ``--input``) needs a seed of at least 0, 2 rows, a predictor and a
-    responder."""
+    a count table needs ``--k`` and ``--m`` of at least 1 and ``--d`` of
+    at least ``--k`` + 2, a pair limit cannot be negative (0 means
+    unlimited), and synthetic data (no ``--input``) needs a seed of at
+    least 0, 2 rows, a predictor and a responder."""
     if args.cmd == "count-ops":
-        least = {"k": 1, "m": 1}
+        least = {"k": 1, "m": 1, "d": args.k + 2}
     elif getattr(args, "input", None):
         least = {"limit": 0}
     else:

@@ -94,10 +94,13 @@ def _gram_tables(rows, n, columns) -> GramTables:
     of ``n`` rows, filled as the model is: the square of [1; X], then Y
     against it. The overflow error names row 1 + i ``columns[i]``."""
     g = np.empty((len(rows), 1 + n))
-    _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], rows.shape[1])
-    _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], rows.shape[1],
-          lambda lo, hi: rows[1 + n + lo:1 + n + hi])
-    norms = np.concatenate((np.diagonal(g), [r @ r for r in rows[1 + n:]]))
+    # an entry overflows (or sums inf and -inf) only beside a squared norm
+    # that overflows, which is the error below, so numpy does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], rows.shape[1])
+        _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], rows.shape[1],
+              lambda lo, hi: rows[1 + n + lo:1 + n + hi])
+        norms = np.concatenate((np.diagonal(g), [r @ r for r in rows[1 + n:]]))
     bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
         raise InternalNumericError(

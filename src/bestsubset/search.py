@@ -60,8 +60,7 @@ METHODS = ("cond-uncorrelation", "algorithm1", "hat-a", "hat-b")
 
 def enumerate_subsets(n: int, k: int):
     """All k-element index subsets of range(n), lexicographic, as tuples."""
-    if not 1 <= k <= n:
-        raise InvalidSparsityError(f"subset size k={k} not in 1..{n}")
+    _check_request(n, math.inf, (k,), 0, None)  # 1 <= k <= n, at any row count
     return itertools.combinations(range(n), k)
 
 
@@ -332,22 +331,18 @@ def _alg1_block(rx, ry, subsets):
 # selection driver
 # ---------------------------------------------------------------------------
 
-def _check_size(n: int, d: int, k: int) -> None:
-    """Raise InvalidSparsityError unless 1 <= k <= n and k <= d - 1."""
-    if not 1 <= k <= n:
-        raise InvalidSparsityError(f"subset size k={k} not in 1..{n}")
-    if k > d - 1:
-        raise InvalidSparsityError(
-            f"k={k} exceeds d-1={d - 1}; centering makes such fits singular"
-        )
-
-
-def _check_pair_limit(n: int, ks, m: int, pair_limit: int | None, methods: int = 1) -> None:
-    """Raise LimitExceededError if scoring every k-of-n subset for each k
-    in ``ks`` against m responders, once per each of ``methods`` methods,
-    exceeds ``pair_limit`` scored pairs (None or 0 for unlimited). A sweep
-    over several k, or a run of several methods, is checked as one total,
-    before any of its scans."""
+def _check_request(n: int, d: int, ks, m: int, pair_limit: int | None, methods: int = 1) -> None:
+    """Check a whole request before any of its scans: InvalidSparsityError
+    at the first k of ``ks`` outside 1..min(n, d - 1), then
+    LimitExceededError if scoring every k-of-n subset of every size against
+    m responders, once per each of ``methods`` methods, exceeds
+    ``pair_limit`` scored pairs (None or 0 for unlimited)."""
+    for k in ks:
+        if not 1 <= k <= n:
+            raise InvalidSparsityError(f"subset size k={k} not in 1..{n}")
+        if k > d - 1:
+            raise InvalidSparsityError(
+                f"k={k} exceeds d-1={d - 1}; centering makes such fits singular")
     total = sum(math.comb(n, k) for k in ks)
     pairs = total * m * methods
     if pair_limit and pairs > pair_limit:
@@ -420,11 +415,11 @@ def select_best(
     pred = tuple(int(c) for c in predictors)
     resp = tuple(int(c) for c in responders)
     n, m = len(pred), len(resp)
-    _check_size(n, data.d, k)
-    _check_pair_limit(n, (k,), m, pair_limit)
+    _check_request(n, data.d, (k,), m, pair_limit)
     total = math.comb(n, k)
 
-    model = build_correlation_model(data, pred, resp, k=k)
+    # of the model, hat-* read only the responders' sigma: no predictor block
+    model = build_correlation_model(data, pred, resp, k=1 if method.startswith("hat") else k)
     if method == "cond-uncorrelation":
         blocks = _tree_blocks(model.rx, model.ry, k)
     elif method == "algorithm1":

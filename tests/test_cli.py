@@ -799,23 +799,58 @@ def test_limit_caps_every_method_together(capsys, argv, subsets, over, limit):
     capsys.readouterr()
 
 
+_PAST_N = "subset size k=5 not in 1..4"
+_PAST_D = "k=4 exceeds d-1=3; centering makes such fits singular"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--d", "60", "--n", "4", "--m", "2", "--k", "6"], "subset size k=5 not in 1..4"),
-    (["--d", "4", "--n", "6", "--m", "1", "--k", "5"],
-     "k=4 exceeds d-1=3; centering makes such fits singular"),
+    (["select", "--d", "60", "--n", "4", "--m", "2", "--k", "6", "--sweep"], _PAST_N),
+    (["select", "--d", "4", "--n", "6", "--m", "1", "--k", "5", "--sweep"], _PAST_D),
+    (["verify", "--d", "60", "--n", "4", "--m", "2", "--k", "5"], _PAST_N),
+    (["verify", "--d", "4", "--n", "6", "--m", "1", "--k", "4"], _PAST_D),
+    (["bench", "--d", "60", "--n", "4", "--m", "2", "--k", "5"], _PAST_N),
+    (["bench", "--d", "4", "--n", "6", "--m", "1", "--k", "4"], _PAST_D),
+    (["select", "--d", "60", "--n", "4", "--m", "2", "--k", "0", "--sweep"],
+     "subset size k=0 not in 1..4"),
 ])
 def test_sweep_checks_every_size_before_any_scan(monkeypatch, capsys, argv, message):
-    """A sweep past n or d - 1 fails before its first scan, with the
-    message of its first bad size: it scored k = 1..4, then exited 7 and
-    discarded their reports."""
+    """A request past n or d - 1 fails before its first scan, with the
+    message of its first bad size: a sweep scored k = 1..4, then exited 7
+    and discarded their reports, and a sweep to k = 0 ran no scan and
+    crashed on its empty report (exit 1). verify and bench run their four
+    methods through the same check."""
     calls = []
     real = cli.select_best
     monkeypatch.setattr(cli, "select_best",
                         lambda *args, **kwargs: calls.append(args[3]) or real(*args, **kwargs))
-    assert cli.main(["select", *argv, "--sweep"]) == 7
+    assert cli.main(argv) == 7
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+    assert calls == []
+
+
+def test_refused_bench_draws_no_instance(monkeypatch, capsys):
+    """bench draws its synthetic table only once its request passes, so a
+    refused request at d = 10**12 exits with its own message."""
+    monkeypatch.setattr(cli, "synthetic_observations",
+                        lambda *args, **kwargs: pytest.fail("drew a synthetic table"))
+    for n, code in (("6", 7), ("60", 13)):
+        assert cli.main(["bench", "--d", str(10**12), "--n", n, "--k", "7", "--m", "1"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_count_ops_refuses_too_few_rows_before_any_count(monkeypatch, capsys):
+    """count-ops needs --d of at least --k + 2 for every fit it counts:
+    ``--k 60 --d 60`` counted k = 1..58 for seconds, then exited 2."""
+    calls = []
+    monkeypatch.setattr(opcount, "measure_counts", lambda *args, **kwargs: calls.append(args))
+    for argv, least in ((["--k", "60", "--d", "60"], 62), (["--k", "3", "--d", "4"], 5)):
+        assert cli.main(["count-ops", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --d must be at least {least}, got {argv[-1]}\n"
     assert calls == []
 
 

@@ -241,7 +241,7 @@ def test_collinear_design_raises():
         fit_single(DesignMatrix([x, x]), list(range(15)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_design_column_is_an_error():
     """A design column near 1e160 overflows its squared norm: the fit
     raises, naming the column, where it returned NaN mse and betas with

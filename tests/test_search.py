@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -302,6 +306,10 @@ def test_one_predictor_selection_builds_no_predictor_block(monkeypatch):
         gram = (1 + n + m) * (1 + n) * 8 if method.startswith("hat") else 0
         assert models.pop().rx is None, method
         assert peak < gram + n * n * 8 / 2, method
+    # hat-* reads no predictor pair at any k: of the model, only sigma_y
+    for method in ("hat-a", "hat-b"):
+        select_best(data, range(20), range(n, n + m), 2, method=method)
+        assert models.pop().rx is None, method
 
 
 def _collinear_shifted_instance(seed):
@@ -766,7 +774,7 @@ def test_nan_scores_never_win():
     assert [w.winner() for w in windows] == [(0.25, (1,)), (0.5, (0,))]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
     """A column whose squared norm overflows float64 is an error naming
     it (exit 11), not a column whose subsets all score NaN: on this table
@@ -786,13 +794,13 @@ def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
         assert "column 0 " in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_responder_is_an_error():
     """A responder's squared norm is not in the Gram table, which pairs
     [1; X; Y] only with [1; X], so it is checked on its own: a responder
     near 1e160 is an error naming it, from the scan's tables and from
     ``fit_multi``'s. Its variance and its products with [1; X] stay
-    finite, so nothing else raises."""
+    finite, so nothing else raises, and numpy does not warn."""
     data, pred, resp, k = _overflowing_gram_instance(col=4)
     for method in ("hat-a", "hat-b"):
         with pytest.raises(InternalNumericError, match="column 4 "):
@@ -801,3 +809,26 @@ def test_overflowing_responder_is_an_error():
     for ordering in ("a", "b"):
         with pytest.raises(InternalNumericError, match="column 4 "):
             fit_multi(design, [data.column(4)], ordering=ordering)
+
+
+def test_overflow_error_survives_warnings_as_errors(tmp_path):
+    """Under ``-W error`` the overflowing responder still exits 11 naming
+    its column: numpy's "overflow encountered in matmul" warning, raised
+    as an exception before the check, ended select and verify with a
+    RuntimeWarning traceback and exit 1."""
+    data = _overflowing_gram_instance(col=4)[0]
+    path = tmp_path / "overflow.csv"
+    path.write_text("a,b,c,d,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in data.values.tolist()))
+    src = str(pathlib.Path(search.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["select", "--method", "hat-a"], ["verify"]):
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "bestsubset.cli", *argv,
+                              "--input", str(path), "--predictors", "a,b,c,d",
+                              "--responders", "y", "--k", "1"],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == InternalNumericError.exit_code, run.stderr
+        assert run.stdout == ""
+        assert "column 4 " in run.stderr
+        assert "RuntimeWarning" not in run.stderr
