@@ -22,6 +22,7 @@ exits with the ``exit_code`` class attribute of its error (see
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -430,8 +431,15 @@ def _emit(fmt, report, csv_text, text) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# A synthetic instance not drawn yet: its ``d`` rows, predictor columns
+# then responder columns, come from ``seed``.
+_Synthetic = collections.namedtuple("_Synthetic", "d seed")
+
+
 def _load_instance(args):
-    """``(data, pred, resp, names)`` from file or seed; names is None without a header."""
+    """``(data, pred, resp, names)`` from file or seed; names is None without
+    a header. A synthetic instance comes as its ``_Synthetic(d, seed)``,
+    which :func:`_scans` draws once the request passes."""
     if args.input:
         data, names = ingest_csv(args.input)
         if not args.predictors or not args.responders:
@@ -441,13 +449,8 @@ def _load_instance(args):
         return data, pred, resp, names
     if args.d is None or args.n is None or args.m is None:
         raise ValueError("either --input or all of --d/--n/--m are required")
-    return *_synthetic(args.d, args.n, args.m, args.seed), None
-
-
-def _synthetic(d, n, m, seed):
-    """A synthetic instance ``(data, pred, resp)``: ``d`` rows of ``n``
-    predictor columns, then ``m`` responder columns, drawn from ``seed``."""
-    return synthetic_observations(d, n + m, seed=seed), list(range(n)), list(range(n, n + m))
+    return (_Synthetic(args.d, args.seed), list(range(args.n)),
+            list(range(args.n, args.n + args.m)), None)
 
 
 def _scans(data, pred, resp, ks, methods, limit):
@@ -455,11 +458,11 @@ def _scans(data, pred, resp, ks, methods, limit):
     one request, for each k of ``ks`` and each of ``methods``, in order.
     The whole request is checked first, so it fails before its first scan,
     and ``limit`` caps all its scans together. ``data`` may be the
-    ``(d, seed)`` of a synthetic instance, drawn once the request passes."""
-    d, seed = data if isinstance(data, tuple) else (data.d, None)
-    _check_request(len(pred), d, ks, len(resp), limit, len(methods))
-    if seed is not None:
-        data = _synthetic(d, len(pred), len(resp), seed)[0]
+    ``_Synthetic(d, seed)`` of a synthetic instance, drawn once the
+    request passes."""
+    _check_request(len(pred), data.d, ks, len(resp), limit, len(methods))
+    if isinstance(data, _Synthetic):
+        data = synthetic_observations(data.d, len(pred) + len(resp), seed=data.seed)
     for k in ks:
         for method in methods:
             t0 = time.perf_counter()
@@ -590,8 +593,8 @@ def run_bench(d, n, k, m, seed, limit):
     from .opcount import count_table
     nsub = math.comb(n, k)
     timings, winners = [], []
-    for _, method, results, wall in _scans((d, seed), range(n), range(n, n + m), (k,),
-                                           METHODS, limit):
+    for _, method, results, wall in _scans(_Synthetic(d, seed), range(n), range(n, n + m),
+                                           (k,), METHODS, limit):
         timings.append({"method": method, "wall_s": wall, "per_subset_s": wall / nsub})
         winners.append(tuple(r.subset_columns for r in results))
     per = {t["method"]: t["per_subset_s"] for t in timings}

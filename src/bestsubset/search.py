@@ -10,13 +10,15 @@ in numpy. The per-subset methods stream lexicographic blocks: algorithm1
 triangulates each subset's stacked matrix per responder in
 ``gauss._eliminate``, and the least-squares baselines (hat-a, hat-b)
 pay each subset's full fit in ``hat._lsq_block``, including a pass over
-all d observations; this module only sizes their blocks, and the fit of
-``hat.fit_multi`` reports their winners. Every block score is
-bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
+all d observations; this module only sizes their blocks. Every block
+score is bit-identical to its scalar kernel (``kernels.omega_sq_stacked``,
 ``hat.scan_fit_a``/``scan_fit_b``), and every window compares omega^2,
 so the tie rule does not depend on the responders' units. Subsets whose
 predictor block is numerically collinear are skipped, and the skip
 decision, ``gauss._collinear``, depends only on the predictors.
+Each winner reports the omega^2 that won its window, and its MSE and
+R^2 from that score; only its coefficients are solved, from its
+correlations, or for hat-* from the scan's own Gram tables.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from .errors import (
     NoValidSubsetError,
     UnknownMethodError,
 )
-from .gauss import _collinear, _eliminate
+from .gauss import _collinear, _eliminate, solve_symmetric
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
-    conditional_uuc,
     mse_from_uuc,
     r_squared_from_uuc,
-    triangulate,
 )
 from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
 from .tolerances import DEFAULT_PAIR_LIMIT, TIE_EPS, _clamp
@@ -390,14 +390,12 @@ def select_best(
     method : one of METHODS; in exact arithmetic all four select the same
         subsets, they just get there at very different cost.
         cond-uncorrelation walks the subset tree in numpy blocks, sharing
-        each prefix's factor with all of its extensions, and re-scores
-        only the winners with the paper's Algorithm 2 kernels, whose
-        figures are reported (the walk's own omega^2, the same at every
-        BLOCK, differs from theirs in the last bits); algorithm1 triangulates
-        every (subset, responder) pair's stacked matrix, and hat-a and
-        hat-b fit every subset, a numpy block of subsets at a time, and
-        report each winner's ``hat.fit_multi``. Every tie window compares
-        omega^2 (for hat-*, MSE over sigma_y^2)
+        each prefix's factor with all of its extensions; algorithm1
+        triangulates every (subset, responder) pair's stacked matrix, and
+        hat-a and hat-b fit every subset, a numpy block of subsets at a
+        time. Every tie window compares omega^2 (for hat-*, MSE over
+        sigma_y^2); each method reports the omega^2 that won the window,
+        ``mse = sigma_y^2 * omega^2`` and ``r_squared = 1 - omega^2``
     workers : accepted and ignored; the scan runs on one thread (a
         2-thread pool measured 0.53-1.00x on the former pure-Python
         algorithm1 scan). Kept only for the ``search.workers2_speedup``
@@ -422,47 +420,44 @@ def select_best(
     model = build_correlation_model(data, pred, resp, k=1 if method.startswith("hat") else k)
     if method == "cond-uncorrelation":
         blocks = _tree_blocks(model.rx, model.ry, k)
+        coefficients = partial(_coefficients, model)
     elif method == "algorithm1":
         score = partial(_alg1_block, model.rx, model.ry)
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // ((k + 1) * m))
+        coefficients = partial(_coefficients, model)
     else:
         from . import hat  # the baselines' module, loaded only for hat-*
-        score = partial(hat._lsq_block, hat.gram_products(data, pred, resp),
-                        method=method, sigma_sq=np.square(model.resp_sigma))
+        tables = hat.gram_products(data, pred, resp)
+        score = partial(hat._lsq_block, tables, method=method,
+                        sigma_sq=np.square(model.resp_sigma))
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // (max(m, k + 1) * data.d))
+        coefficients = partial(_hat_coefficients, tables)
     windows, scored = _argmin(blocks, m)
     skipped = total - scored
     if not scored:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
-    winners = [w.winner() for w in windows]
-    return [_finalise(data, model, method, *winners[t], t, skipped, scored)
-            for t in range(m)]
+    return [_finalise(model, coefficients, *w.winner(), t, skipped, scored)
+            for t, w in enumerate(windows)]
 
 
-def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> SelectionResult:
+def _coefficients(model, subset, t) -> RegressionCoefficients:
+    rx, rho = slice_correlations(model, subset, t)
+    return coefficients_from_correlations(
+        rx, rho, model.resp_sigma[t], [model.pred_sigma[j] for j in subset],
+        model.resp_mean[t], [model.pred_mean[j] for j in subset])
+
+
+def _hat_coefficients(tables, subset, t) -> RegressionCoefficients:
+    from .hat import assemble_xtx, assemble_xty  # loaded already by the hat-* scan
+    # the scan's elimination of the scan's tables: a scored subset is never singular here
+    beta = solve_symmetric(assemble_xtx(tables, subset), assemble_xty(tables, subset, t))
+    return RegressionCoefficients(beta[0], tuple(beta[1:]))
+
+
+def _finalise(model, coefficients, score, subset, t, skipped, evaluated) -> SelectionResult:
     sigma_y = model.resp_sigma[t]
-    if method in ("hat-a", "hat-b"):
-        # the windows hold MSE / sigma^2; the winner's fit repeats the scan's
-        # inner products and elimination bit for bit, so it is never singular
-        from . import hat
-        design = hat.DesignMatrix([data.column(model.predictors[j]) for j in subset])
-        fit, = hat.fit_multi(design, [data.column(model.responders[t])], method[-1])
-        mse, coeff = fit.mse, RegressionCoefficients(fit.beta[0], fit.beta[1:])
-    else:
-        rx, rho = slice_correlations(model, subset, t)
-        if method == "cond-uncorrelation":
-            # the walk's rank-one steps round unlike the paper's Algorithm 2,
-            # whose kernels score the winner, so the figures are Algorithm 2's
-            score = conditional_uuc(triangulate([row[:] for row in rx]), rho).omega_sq
-        mse = mse_from_uuc(sigma_y * sigma_y, score)
-        coeff = coefficients_from_correlations(
-            rx, rho, sigma_y,
-            [model.pred_sigma[j] for j in subset],
-            model.resp_mean[t],
-            [model.pred_mean[j] for j in subset],
-        )
     return SelectionResult(
         responder_pos=t,
         responder_column=model.responders[t],
@@ -470,9 +465,9 @@ def _finalise(data, model, method, score, subset, t, skipped, evaluated) -> Sele
         subset=subset,
         subset_columns=tuple(model.predictors[j] for j in subset),
         omega_sq_cond=score,
-        mse=mse,
+        mse=mse_from_uuc(sigma_y * sigma_y, score),
         r_squared=r_squared_from_uuc(score),
-        coefficients=coeff,
+        coefficients=coefficients(subset, t),
         skipped_singular=skipped,
         subsets_evaluated=evaluated,
     )

@@ -1,5 +1,7 @@
 """Shared test helpers: independent oracles and instance generators."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from bestsubset import SingularMatrixError, build_correlation_model, synthetic_observations
@@ -69,6 +71,20 @@ def stack(rx, rho):
     """Stacked (k+1) x (k+1) correlation matrix, responder last; ``rx`` is
     copied, not consumed."""
     return [row + [r] for row, r in zip(rx, rho)] + [rho + [1.0]]
+
+
+def exact_omega_sq(rx, rho) -> Fraction:
+    """det(R_xy) / det(R_x) of the float entries ``rx`` and ``rho``, in
+    exact rational arithmetic: the last pivot of the stacked matrix's
+    Gaussian elimination over Fractions, with no rounding anywhere."""
+    a = [[Fraction(v) for v in row] for row in stack(rx, rho)]
+    q = len(a)
+    for i in range(q - 1):
+        for j in range(i + 1, q):
+            f = a[j][i] / a[i][i]
+            for p in range(i + 1, q):
+                a[j][p] -= f * a[i][p]
+    return a[q - 1][q - 1]
 
 
 def scan(score, subsets, m):

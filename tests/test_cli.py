@@ -841,6 +841,19 @@ def test_refused_bench_draws_no_instance(monkeypatch, capsys):
         assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["select", "verify"])
+def test_refused_select_and_verify_draw_no_instance(monkeypatch, capsys, command):
+    """select and verify, like bench, draw their synthetic table only once
+    the request passes: at d = 10**12 a size past n exited 1 with numpy's
+    allocation error ("Unable to allocate 36.4 TiB") before the check ran."""
+    monkeypatch.setattr(cli, "synthetic_observations",
+                        lambda *args, **kwargs: pytest.fail("drew a synthetic table"))
+    assert cli.main([command, "--d", str(10**12), "--n", "4", "--m", "1", "--k", "5"]) == 7
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {_PAST_N}\n"
+
+
 def test_count_ops_refuses_too_few_rows_before_any_count(monkeypatch, capsys):
     """count-ops needs --d of at least --k + 2 for every fit it counts:
     ``--k 60 --d 60`` counted k = 1..58 for seconds, then exited 2."""
