@@ -707,16 +707,17 @@ def _build_parser():
 
 def _check_ranges(args) -> None:
     """Refuse a flag below its least value, before any subcommand runs:
-    a count table needs ``--k`` and ``--m`` of at least 1 and ``--d`` of
-    at least ``--k`` + 2, a pair limit cannot be negative (0 means
-    unlimited), and synthetic data (no ``--input``) needs a seed of at
-    least 0, 2 rows, a predictor and a responder."""
+    a count table (``count-ops``, ``bench``) needs ``--d`` of at least
+    ``--k`` + 2 and ``count-ops`` ``--k`` and ``--m`` of at least 1, a pair
+    limit cannot be negative (0 means unlimited), and synthetic data (no
+    ``--input``) needs a seed of at least 0, 2 rows, a predictor and a responder."""
     if args.cmd == "count-ops":
         least = {"k": 1, "m": 1, "d": args.k + 2}
     elif getattr(args, "input", None):
         least = {"limit": 0}
     else:
-        least = {"limit": 0, "seed": 0, "d": 2, "n": 1, "m": 1}
+        rows = max(2, args.k + 2) if args.cmd == "bench" else 2
+        least = {"limit": 0, "seed": 0, "d": rows, "n": 1, "m": 1}
     for name, low in least.items():
         value = getattr(args, name)
         if value is not None and value < low:

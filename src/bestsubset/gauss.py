@@ -5,7 +5,8 @@ on Python floats in lists of lists, on the operation-count harness's
 counting scalars, and on numpy blocks, where entry (i, j) is an array
 holding that entry of every subset in the block. The one collinearity
 rule, :func:`_collinear`, is the only test on a pivot: a scalar pivot
-below EPS_PIV raises, a block's marks a mask.
+below EPS_PIV raises, a block's marks a mask, and :func:`factor_symmetric`
+on a block raises what its first collinear entry alone would raise.
 
 Only the upper triangle (including the diagonal) of the input matrix is
 referenced or updated; symmetry supplies the lower triangle. No pivoting
@@ -74,12 +75,17 @@ def factor_symmetric(a, n):
     to process right hand sides later.
 
     Raises SingularMatrixError when a pivot falls below the shared
-    collinearity threshold, before its reciprocal is taken.
+    collinearity threshold, before its reciprocal is taken; a block, that
+    of its first collinear entry, whose pivots no later step changes.
     """
-    mult, recips, _ = _eliminate(a, n)
+    mult, recips, singular = _eliminate(a, n)
     last = a[n - 1][n - 1]
-    _collinear(n - 1, last)
+    singular = _collinear(n - 1, last, singular)
     recips[n - 1] = 1.0 / last
+    if singular is not False and singular.any():
+        e = np.unravel_index(np.argmax(singular), singular.shape)
+        for i in range(n):
+            _collinear(i, a[i][i][e])
     return mult, recips
 
 

@@ -294,9 +294,9 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
     residuals; results agree to rounding. Either way the coefficients come
-    from one factorisation of the normal matrix, applied to each
-    responder's X^T y, both assembled from Gram tables built as
-    :func:`gram_products` builds the scan's. An unknown ordering, empty
+    from one factorisation of the normal matrix, applied to every
+    responder's X^T y at once as one block, both assembled from Gram tables
+    built as :func:`gram_products` builds the scan's. An unknown ordering, empty
     ``ys`` or a NaN or infinite value raises ValueError, a collinear design
     SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
@@ -316,11 +316,9 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     # one factorisation, which names the pivot of a collinear design
     q, xtx = X.k + 1, assemble_xtx(tables, idx)
     mult, recips = factor_symmetric(xtx, q)
-    betas = []
-    for t in range(len(ys)):
-        xty = assemble_xty(tables, idx, t)
-        forward_apply(mult, xty, q)
-        betas.append(back_substitute(xtx, recips, xty, q))
+    xty = list(tables.g[q:].T)  # row j: entry j of every responder's X^T y
+    forward_apply(mult, xty, q)
+    betas = np.array(back_substitute(xtx, recips, xty, q)).T.tolist()
     residuals, _ = _residual_block(tables, np.array([idx]), "hat-" + ordering)
     res = residuals[0].tolist()
     sses = _sse(residuals)[0].tolist()

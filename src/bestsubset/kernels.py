@@ -20,7 +20,9 @@ Two kernels compute the ratio:
 
 Both run on plain Python scalars in nested lists; the operation-count
 harness re-executes the second with an instrumented value type, and
-``search._alg1_block`` repeats the first across numpy blocks.
+``search._alg1_block`` repeats the first across numpy blocks, as
+``search.select_best`` runs :func:`coefficients_from_correlations` once on
+all of a scan's winners.
 """
 
 from __future__ import annotations
@@ -203,12 +205,13 @@ def coefficients_from_correlations(rx_rows, rho, sigma_y, sigmas, mu_y, mus) -> 
 
     Solves R_x w = rho by Gaussian elimination (no explicit inverse); the
     slope on predictor i is then sigma_y * w_i / sigma_i and the offset
-    re-centres the fit through the means. This is only ever done once per
-    responder, for the winner, never inside the subset scan.
+    re-centres the fit through the means. Like the ``gauss`` primitives it
+    runs on a block too, one entry per winner: ``search.select_best`` solves
+    all of a scan's winners in one call, never inside the subset scan.
     """
     k = len(rho)
     a = [list(row) for row in rx_rows]
     w = solve_symmetric(a, list(rho))
     betas = tuple(sigma_y * w[i] / sigmas[i] for i in range(k))
     beta0 = mu_y - sum(betas[i] * mus[i] for i in range(k))
-    return RegressionCoefficients(beta0=float(beta0), betas=betas)
+    return RegressionCoefficients(beta0=beta0, betas=betas)

@@ -17,8 +17,9 @@ so the tie rule does not depend on the responders' units. Subsets whose
 predictor block is numerically collinear are skipped, and the skip
 decision, ``gauss._collinear``, depends only on the predictors.
 Each winner reports the omega^2 that won its window, and its MSE and
-R^2 from that score; only its coefficients are solved, from its
-correlations, or for hat-* from the scan's own Gram tables.
+R^2 from that score; only coefficients are solved, for all m winners in
+one block solve of their correlations, or for hat-* of the scan's own
+Gram tables.
 """
 
 from __future__ import annotations
@@ -65,14 +66,10 @@ def enumerate_subsets(n: int, k: int):
 
 
 def slice_correlations(model: CorrelationModel, subset, responder: int):
-    """Extract one subset's predictor block and responder vector.
-
-    Entries come straight out of the precomputed model, so they are
-    bit-identical to computing the correlations pairwise on raw columns;
-    a model without ``rx`` serves one-predictor subsets, whose block is
-    [[1.0]]. Returns (rx, rho) as fresh nested lists safe to consume,
-    converting only the entries it reads.
-    """
+    """One subset's predictor block and responder vector (rx, rho), fresh
+    nested lists straight out of the model, so bit-identical to pairwise
+    correlations of the raw columns; [[1.0]] for a model without ``rx``.
+    The per-responder reference of :func:`select_best`'s block solve."""
     idx = list(subset)
     rx = [[1.0]] if model.rx is None else model.rx[np.ix_(idx, idx)].tolist()
     return rx, model.ry[responder, idx].tolist()
@@ -395,7 +392,8 @@ def select_best(
         hat-a and hat-b fit every subset, a numpy block of subsets at a
         time. Every tie window compares omega^2 (for hat-*, MSE over
         sigma_y^2); each method reports the omega^2 that won the window,
-        ``mse = sigma_y^2 * omega^2`` and ``r_squared = 1 - omega^2``
+        ``mse = sigma_y^2 * omega^2`` and ``r_squared = 1 - omega^2``,
+        and one block solve gives all m winners' coefficients
     workers : accepted and ignored; the scan runs on one thread (a
         2-thread pool measured 0.53-1.00x on the former pure-Python
         algorithm1 scan). Kept only for the ``search.workers2_speedup``
@@ -420,45 +418,38 @@ def select_best(
     model = build_correlation_model(data, pred, resp, k=1 if method.startswith("hat") else k)
     if method == "cond-uncorrelation":
         blocks = _tree_blocks(model.rx, model.ry, k)
-        coefficients = partial(_coefficients, model)
     elif method == "algorithm1":
         score = partial(_alg1_block, model.rx, model.ry)
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // ((k + 1) * m))
-        coefficients = partial(_coefficients, model)
     else:
         from . import hat  # the baselines' module, loaded only for hat-*
         tables = hat.gram_products(data, pred, resp)
         score = partial(hat._lsq_block, tables, method=method,
                         sigma_sq=np.square(model.resp_sigma))
         blocks = _lex_blocks(score, n, k, LSQ_FLOATS // (max(m, k + 1) * data.d))
-        coefficients = partial(_hat_coefficients, tables)
     windows, scored = _argmin(blocks, m)
     skipped = total - scored
     if not scored:
         raise NoValidSubsetError(
             f"all {total} candidate subsets of size {k} were numerically collinear"
         )
-    return [_finalise(model, coefficients, *w.winner(), t, skipped, scored)
-            for t, w in enumerate(windows)]
-
-
-def _coefficients(model, subset, t) -> RegressionCoefficients:
-    rx, rho = slice_correlations(model, subset, t)
-    return coefficients_from_correlations(
-        rx, rho, model.resp_sigma[t], [model.pred_sigma[j] for j in subset],
-        model.resp_mean[t], [model.pred_mean[j] for j in subset])
-
-
-def _hat_coefficients(tables, subset, t) -> RegressionCoefficients:
-    from .hat import assemble_xtx, assemble_xty  # loaded already by the hat-* scan
-    # the scan's elimination of the scan's tables: a scored subset is never singular here
-    beta = solve_symmetric(assemble_xtx(tables, subset), assemble_xty(tables, subset, t))
-    return RegressionCoefficients(beta[0], tuple(beta[1:]))
-
-
-def _finalise(model, coefficients, score, subset, t, skipped, evaluated) -> SelectionResult:
-    sigma_y = model.resp_sigma[t]
-    return SelectionResult(
+    scores, subsets = zip(*(w.winner() for w in windows))
+    # one block solve, winner t in column t; a collinear winner raises, not warns
+    s = np.array(subsets).T
+    with np.errstate(all="ignore"):
+        if method.startswith("hat"):
+            # the scan eliminated these very entries of its tables: none is singular
+            pos = np.insert(s + 1, 0, 0, axis=0)  # the all-ones row, then the subset
+            beta = solve_symmetric(tables.g[pos[:, None], pos[None, :]],
+                                   tables.g[1 + n + np.arange(m), pos])
+        else:
+            mus, sigmas = np.array(model.pred_mean)[s], np.array(model.pred_sigma)[s]
+            rx = [[1.0]] if model.rx is None else model.rx[s[:, None], s[None, :]]
+            c = coefficients_from_correlations(
+                rx, model.ry[np.arange(m), s], np.array(model.resp_sigma), sigmas,
+                np.array(model.resp_mean), mus)
+            beta = [c.beta0, *c.betas]
+    return [SelectionResult(
         responder_pos=t,
         responder_column=model.responders[t],
         responder_sigma=sigma_y,
@@ -467,7 +458,8 @@ def _finalise(model, coefficients, score, subset, t, skipped, evaluated) -> Sele
         omega_sq_cond=score,
         mse=mse_from_uuc(sigma_y * sigma_y, score),
         r_squared=r_squared_from_uuc(score),
-        coefficients=coefficients(subset, t),
+        coefficients=RegressionCoefficients(b[0], tuple(b[1:])),
         skipped_singular=skipped,
-        subsets_evaluated=evaluated,
-    )
+        subsets_evaluated=scored,
+    ) for t, (sigma_y, score, subset, b)
+        in enumerate(zip(model.resp_sigma, scores, subsets, np.array(beta).T.tolist()))]

@@ -809,7 +809,6 @@ _PAST_D = "k=4 exceeds d-1=3; centering makes such fits singular"
     (["verify", "--d", "60", "--n", "4", "--m", "2", "--k", "5"], _PAST_N),
     (["verify", "--d", "4", "--n", "6", "--m", "1", "--k", "4"], _PAST_D),
     (["bench", "--d", "60", "--n", "4", "--m", "2", "--k", "5"], _PAST_N),
-    (["bench", "--d", "4", "--n", "6", "--m", "1", "--k", "4"], _PAST_D),
     (["select", "--d", "60", "--n", "4", "--m", "2", "--k", "0", "--sweep"],
      "subset size k=0 not in 1..4"),
 ])
@@ -818,7 +817,8 @@ def test_sweep_checks_every_size_before_any_scan(monkeypatch, capsys, argv, mess
     message of its first bad size: a sweep scored k = 1..4, then exited 7
     and discarded their reports, and a sweep to k = 0 ran no scan and
     crashed on its empty report (exit 1). verify and bench run their four
-    methods through the same check."""
+    methods through the same check; a bench request past d - 1 is refused
+    before it, by bench's own least --d of --k + 2."""
     calls = []
     real = cli.select_best
     monkeypatch.setattr(cli, "select_best",
@@ -865,6 +865,19 @@ def test_count_ops_refuses_too_few_rows_before_any_count(monkeypatch, capsys):
         assert out == ""
         assert err == f"error: --d must be at least {least}, got {argv[-1]}\n"
     assert calls == []
+
+
+def test_bench_refuses_too_few_rows_before_any_scan(monkeypatch, capsys):
+    """bench counts operations at d rows as count-ops does, so it needs
+    --d of at least --k + 2 too: ``--d 3 --k 2`` ran all four scans, then
+    exited 2 from the count table, and ``--d 5 --k 4`` exited 7."""
+    monkeypatch.setattr(cli, "select_best",
+                        lambda *args, **kwargs: pytest.fail("ran a scan"))
+    for d, n, k, least in (("3", "2", "2", 4), ("5", "2", "4", 6)):
+        assert cli.main(["bench", "--d", d, "--n", n, "--k", k, "--m", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --d must be at least {least}, got {d}\n"
 
 
 def test_exit_code_map_covers_remaining_errors():

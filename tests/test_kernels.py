@@ -17,7 +17,7 @@ from bestsubset import (
     triangulate,
     uuc_squared,
 )
-from bestsubset.gauss import factor_symmetric
+from bestsubset.gauss import factor_symmetric, solve_symmetric
 from bestsubset.search import enumerate_subsets, slice_correlations
 
 
@@ -141,6 +141,28 @@ def test_zero_last_pivot_is_a_perfect_fit_not_singular():
             with pytest.raises(SingularMatrixError) as err:
                 factor_symmetric(copy(), n)
             assert err.value.pivot_index == n - 1
+
+
+def test_block_solve_raises_its_first_collinear_entry():
+    """A 3 x 3 x 4 block of correlation matrices whose entries 2 and 3 are
+    collinear raises entry 2's own error, pivot index and value, though
+    entry 3 fails at an earlier pivot; the block solve returned ~1e16
+    without raising. Like every block caller, it silences numpy."""
+    rng = np.random.default_rng(41)
+    x, y = rng.standard_normal((2, 30)), rng.standard_normal(30)
+    columns = [(x[0], x[1], rng.standard_normal(30)), (x[0], x[1], y),
+               (x[0], x[1], x[0] - 2.0 * x[1]), (x[0], x[0], y)]
+    mats = [np.corrcoef(c) for c in columns]
+    rhos = [[np.corrcoef(c, y)[0, 1] for c in cols] for cols in columns]
+    with pytest.raises(SingularMatrixError) as scalar:
+        solve_symmetric(mats[2].tolist(), list(rhos[2]))
+    assert scalar.value.pivot_index == 2
+    with pytest.raises(SingularMatrixError):
+        solve_symmetric(mats[3].tolist(), list(rhos[3]))
+    with np.errstate(all="ignore"):
+        with pytest.raises(SingularMatrixError) as block:
+            solve_symmetric(np.stack(mats, axis=-1), np.array(rhos).T)
+    assert (block.value.pivot_index, block.value.pivot) == (2, scalar.value.pivot)
 
 
 def test_inconsistent_input_caught():

@@ -26,6 +26,7 @@ from bestsubset import (
     LimitExceededError,
     NoValidSubsetError,
     ObservationMatrix,
+    SingularMatrixError,
     UnknownMethodError,
     build_correlation_model,
     correlation_matrix,
@@ -768,6 +769,88 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
             assert (r.coefficients.beta0, r.coefficients.betas) == (beta[0], tuple(beta[1:]))
             assert r.skipped_singular == skipped
             assert r.subsets_evaluated == total - skipped
+
+
+def _scalar_coefficients(data, pred, resp, k, method):
+    """The per-responder route to winner t's [beta0, *betas]: its slice of
+    the model through the scalar ``coefficients_from_correlations``, or for
+    hat-* the scalar solve of its normal equations in the Gram tables."""
+    if method.startswith("hat"):
+        tables = gram_products(data, pred, resp)
+        return lambda subset, t: solve_symmetric(assemble_xtx(tables, subset),
+                                                 assemble_xty(tables, subset, t))
+    model = build_correlation_model(data, pred, resp, k=k)
+
+    def solve(subset, t):
+        c = kernels.coefficients_from_correlations(
+            *slice_correlations(model, subset, t), model.resp_sigma[t],
+            [model.pred_sigma[j] for j in subset], model.resp_mean[t],
+            [model.pred_mean[j] for j in subset])
+        return [c.beta0, *c.betas]
+    return solve
+
+
+_K1 = (*make_instance(23, d=15, n=5, m=3)[:3], 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_scan_instances(), st.sampled_from(((search.BLOCK, search.LSQ_FLOATS), (1, 1))))
+@example(_K1, (search.BLOCK, search.LSQ_FLOATS))
+@example(_K1, (1, 1))
+def test_every_winner_is_solved_in_one_block(instance, sizes):
+    """Each scan solves all its winners' coefficients in one block call:
+    ``coefficients_from_correlations`` runs once per cond-uncorrelation or
+    algorithm1 scan, and never per responder through ``slice_correlations``
+    or the hat-* tables' ``assemble_xtx``/``assemble_xty``. Every beta0 and
+    beta is the per-responder scalar route's bit for bit, for every method
+    at the default block sizes and at blocks of one subset, and a winner
+    whose solve is singular raises that route's first error."""
+    data, pred, resp, k = instance
+    calls, scans = [], []
+    argmin, coefficients = search._argmin, search.coefficients_from_correlations
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a winner was solved on its own")
+
+    def counting(*args):
+        calls.append(args)
+        return coefficients(*args)
+
+    def recording(blocks, m):
+        scans.append(argmin(blocks, m))
+        return scans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "BLOCK", sizes[0])
+        mp.setattr(search, "LSQ_FLOATS", sizes[1])
+        mp.setattr(search, "_argmin", recording)
+        mp.setattr(search, "coefficients_from_correlations", counting)
+        for module, name in ((search, "slice_correlations"), (hat, "assemble_xtx"),
+                             (hat, "assemble_xty")):
+            mp.setattr(module, name, refuse)
+        for method in METHODS:
+            calls.clear()
+            scans.clear()
+            raised = None
+            try:
+                res = select_best(data, pred, resp, k, method=method)
+            except (InternalNumericError, NoValidSubsetError):
+                continue
+            except SingularMatrixError as err:
+                raised = err
+            assert len(calls) == (0 if method.startswith("hat") else 1)
+            (windows, _), = scans
+            solve, want = _scalar_coefficients(data, pred, resp, k, method), []
+            try:
+                for t, window in enumerate(windows):
+                    want.append(solve(window.winner()[1], t))
+            except SingularMatrixError as err:
+                assert raised is not None
+                assert (raised.pivot_index, raised.pivot) == (err.pivot_index, err.pivot)
+                continue
+            assert raised is None
+            got = [[r.coefficients.beta0, *r.coefficients.betas] for r in res]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_least_squares_scan_memory_is_bounded():
