@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalNumericError
-from .gauss import _collinear, _eliminate, back_substitute, factor_symmetric, forward_apply
+from .gauss import (_collinear, _eliminate, back_substitute, factor_symmetric,
+                    forward_apply, solve_symmetric)
 from .stats import _checked_columns, _dots
 
 __all__ = [
@@ -311,14 +312,12 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
             raise ValueError("responder contains NaN or infinite entries")
     if not ys:
         raise ValueError("need at least one predictor and one responder column")
-    tables = _gram_tables(np.vstack((X.rows, *ys)), X.k, range(X.k + len(ys)))
+    tables = _gram_tables(_stacked([*X.rows[1:], *ys]), X.k, range(X.k + len(ys)))
     idx = range(X.k)
-    # one factorisation, which names the pivot of a collinear design
-    q, xtx = X.k + 1, assemble_xtx(tables, idx)
-    mult, recips = factor_symmetric(xtx, q)
-    xty = list(tables.g[q:].T)  # row j: entry j of every responder's X^T y
-    forward_apply(mult, xty, q)
-    betas = np.array(back_substitute(xtx, recips, xty, q)).T.tolist()
+    # one factorisation, which names the pivot of a collinear design; row j
+    # of the right hand side is entry j of every responder's X^T y
+    betas = np.array(solve_symmetric(assemble_xtx(tables, idx),
+                                     list(tables.g[X.k + 1:].T))).T.tolist()
     residuals, _ = _residual_block(tables, np.array([idx]), "hat-" + ordering)
     res = residuals[0].tolist()
     sses = _sse(residuals)[0].tolist()

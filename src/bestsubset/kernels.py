@@ -18,11 +18,12 @@ Two kernels compute the ratio:
   :func:`conditional_uuc` reuses that factor for every responder, which
   is the cheaper route when there are many responders.
 
-Both run on plain Python scalars in nested lists; the operation-count
-harness re-executes the second with an instrumented value type, and
-``search._alg1_block`` repeats the first across numpy blocks, as
-``search.select_best`` runs :func:`coefficients_from_correlations` once on
-all of a scan's winners.
+Both run on plain Python scalars in nested lists, each in one function
+body. Production scans call neither: ``search._alg1_block`` repeats the
+first across numpy blocks, and the operation-count harness calls
+:func:`triangulate` and :func:`conditional_uuc` themselves with an
+instrumented value type. ``search.select_best`` runs
+:func:`coefficients_from_correlations` once on all of a scan's winners.
 """
 
 from __future__ import annotations
@@ -47,55 +48,6 @@ __all__ = [
     "coefficients_from_correlations",
 ]
 
-
-# ---------------------------------------------------------------------------
-# generic scalar cores (shared with the counting harness)
-# ---------------------------------------------------------------------------
-
-def _predictor_core(rx, rt, eta, k):
-    """Factor the predictor correlation matrix for repeated responder use.
-
-    ``rx`` is consumed (upper triangle). ``rt`` must come in as identity
-    except row 0, which carries the first row of ``rx``; it leaves as the
-    unit upper triangular factor. ``eta`` collects the pivot reciprocals,
-    with ``eta[0]`` fixed at 1 because a correlation matrix always has a
-    unit leading pivot.
-    """
-    for i in range(k):
-        if i != 0:
-            pivot = rx[i][i]
-            _collinear(i, pivot)
-            recip = 1.0 / pivot
-            eta[i] = recip
-            for p in range(i + 1, k):
-                rt[i][p] = rx[i][p] * recip
-        for j in range(i + 1, k):
-            temp = rx[i][j]
-            for p in range(j, k):
-                rx[j][p] = rx[j][p] - rt[i][p] * temp
-
-
-def _responder_core(rt, eta, rho, k):
-    """Conditional squared UUC of one responder against a factored subset.
-
-    Runs the forward recurrence b_i = rho_i - sum_{j<i} rt[j][i] b_j and
-    peels b_i^2 * eta_i off an accumulator that starts at 1 - rho_1^2.
-    Returns the raw accumulator (no clamping) plus the b coefficients.
-    """
-    omega = 1.0 - rho[0] * rho[0]
-    b = [rho[0]]
-    for i in range(1, k):
-        tempr = rho[i]
-        for j in range(i):
-            tempr = tempr - b[j] * rt[j][i]
-        b.append(tempr)
-        omega = omega - tempr * tempr * eta[i]
-    return omega, b
-
-
-# ---------------------------------------------------------------------------
-# public float-path API
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TriangularCache:
@@ -157,14 +109,28 @@ def triangulate(r_x) -> TriangularCache:
 
     The input is consumed (upper triangle). Cost grows with k^3 but is
     paid once per subset; each responder then costs only k^2 via
-    :func:`conditional_uuc`.
+    :func:`conditional_uuc`. ``rt`` starts as identity except row 0, which
+    carries the first row of ``r_x``, and ends as the unit upper triangular
+    factor; ``eta`` collects the pivot reciprocals, with ``eta[0]`` fixed
+    at 1 because a correlation matrix always has a unit leading pivot.
     """
     k = len(r_x)
     rt = [[1.0 if i == j else 0.0 for j in range(k)] for i in range(k)]
     for j in range(1, k):
         rt[0][j] = r_x[0][j]
     eta = [1.0] * k
-    _predictor_core(r_x, rt, eta, k)
+    for i in range(k):
+        if i != 0:
+            pivot = r_x[i][i]
+            _collinear(i, pivot)
+            recip = 1.0 / pivot
+            eta[i] = recip
+            for p in range(i + 1, k):
+                rt[i][p] = r_x[i][p] * recip
+        for j in range(i + 1, k):
+            temp = r_x[i][j]
+            for p in range(j, k):
+                r_x[j][p] = r_x[j][p] - rt[i][p] * temp
     for e in eta:
         if not math.isfinite(e):
             raise InternalNumericError("non-finite pivot reciprocal in triangular cache")
@@ -179,11 +145,21 @@ def conditional_uuc(cache: TriangularCache, rho) -> ConditionalUuc:
     """Conditional squared UUC of one responder given a factored subset.
 
     ``rho`` holds the responder's correlations with the k subset
-    predictors, in subset order. The result is clamped into [0, 1];
-    leaving it by more than the consistency tolerance, or NaN, raises
-    InternalNumericError.
+    predictors, in subset order. It runs the forward recurrence
+    b_i = rho_i - sum_{j<i} rt[j][i] b_j and peels b_i^2 * eta_i off an
+    accumulator that starts at 1 - rho_1^2. The result is clamped into
+    [0, 1]; leaving it by more than the consistency tolerance, or NaN,
+    raises InternalNumericError.
     """
-    omega, b = _responder_core(cache.rt, cache.eta, rho, cache.k)
+    rt, eta = cache.rt, cache.eta
+    omega = 1.0 - rho[0] * rho[0]
+    b = [rho[0]]
+    for i in range(1, cache.k):
+        tempr = rho[i]
+        for j in range(i):
+            tempr = tempr - b[j] * rt[j][i]
+        b.append(tempr)
+        omega = omega - tempr * tempr * eta[i]
     return ConditionalUuc(
         omega_sq=_clamp(float(omega), 0.0, 1.0, "conditional_uuc"),
         b=tuple(float(v) for v in b),

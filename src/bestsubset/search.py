@@ -129,19 +129,23 @@ def _argmin(blocks, m):
     Each block is (subsets, scores): b x k admissible subsets and their
     b x m omega^2, every skipped subset already left out, so a scan's
     skip count is C(n, k) minus the ``scored`` returned with the windows.
-    Only leaves within TIE_EPS of a block's minimum are handed on; every
-    possible winner is among them, so the lexicographic tie-break stays
-    exact across blocks. A NaN score is never handed on: it could not
-    win a window anyway, unless it came first, where it would leave no
-    winner at all. Returns (windows, scored).
+    Only leaves within TIE_EPS of their responder's running minimum, over
+    this block and every one before it, are handed on. A score above it
+    is above the final minimum plus TIE_EPS, so it can never win, nor can
+    anything it would dominate: every possible winner is handed on, and
+    the lexicographic tie-break stays exact across blocks. A NaN score is
+    never handed on: it could not win a window anyway, unless it came
+    first, where it would leave no winner at all. Returns (windows, scored).
     """
     windows = [ArgminWindow() for _ in range(m)]
     scored = 0
+    lo = np.full(m, np.inf)  # each responder's running minimum
     for subsets, scores in blocks:
         if not len(scores):
             continue
         scored += len(scores)
-        near = scores <= np.fmin.reduce(scores, axis=0) + TIE_EPS
+        np.fmin(lo, np.fmin.reduce(scores, axis=0), out=lo)
+        near = scores <= lo + TIE_EPS
         for i, t in zip(*np.nonzero(near)):
             windows[t].add(float(scores[i, t]), tuple(subsets[i].tolist()))
         # the scan builds the next block only after this one is freed

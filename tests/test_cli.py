@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bestsubset import cli, opcount, synthetic_observations
+from bestsubset import cli, ingest, opcount, synthetic_observations
 from bestsubset.errors import (
     ArityMismatchError,
     BestSubsetError,
@@ -261,9 +261,9 @@ def _ingest_property(test):
 
 
 def _check_against_reference(path):
-    expected = _ingest_outcome(cli._ingest_reference, path)
-    if cli._ingest_fast(path) is not None:  # None hands over
-        assert _ingest_outcome(cli._ingest_fast, path) == expected
+    expected = _ingest_outcome(ingest._ingest_reference, path)
+    if ingest._ingest_fast(path) is not None:  # None hands over
+        assert _ingest_outcome(ingest._ingest_fast, path) == expected
     assert _ingest_outcome(cli.ingest_csv, path) == expected
 
 
@@ -272,9 +272,9 @@ def _ranges(parts, part_bytes=None):
     """Ingest cuts a file in at most ``parts`` ranges (a CPU each) and one
     per ``part_bytes`` bytes (the module's own bound by default)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_cpus", lambda: parts)
+        mp.setattr(ingest, "_cpus", lambda: parts)
         if part_bytes is not None:
-            mp.setattr(cli, "PARSE_PART_BYTES", part_bytes)
+            mp.setattr(ingest, "PARSE_PART_BYTES", part_bytes)
         yield
 
 
@@ -327,7 +327,7 @@ def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, forks_allowed):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert not caught
-    assert outcome == _ingest_outcome(cli._ingest_reference, path)
+    assert outcome == _ingest_outcome(ingest._ingest_reference, path)
     assert len(forks) == forks_allowed
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -339,7 +339,7 @@ def test_no_parser_outlives_ingest(tmp_path, monkeypatch, text, forks_allowed):
                          ids=["no-head", "short-rows"])
 def test_a_parser_that_ended_early_hands_over(stream):
     with pytest.raises(ValueError):
-        cli._append(np.zeros((1, 2)), 2, io.BytesIO(stream))
+        ingest._append(np.zeros((1, 2)), 2, io.BytesIO(stream))
 
 
 # a quoted header is never cut after, so only the plain header splits
@@ -356,19 +356,39 @@ def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote, parts):
     del lines
     with _ranges(parts):
         with open(path, "rb") as fh:
-            assert len(cli._cuts(fh)) == parts + 1  # 11 MB: a range per CPU
+            assert len(ingest._cuts(fh)) == parts + 1  # 11 MB: a range per CPU
         tracemalloc.start()
         try:
             data, names = cli.ingest_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    ref, ref_names = cli._ingest_reference(path)
+    ref, ref_names = ingest._ingest_reference(path)
     assert data.values.tobytes() == ref.values.tobytes() == table.tobytes()
     assert names == ref_names == [f"x{j}" for j in range(300)] + ["y0", "y1"]
     # the parsed array is the matrix's own: no second copy of the table
     assert not data.values.flags.writeable
     assert peak < 1.5 * data.values.nbytes
+
+
+@pytest.mark.parametrize("command", ["select", "verify"])
+def test_commands_ingest_through_the_cli_name(tmp_path, monkeypatch, capsys, command):
+    """The benchmark times ingest by wrapping ``cli.ingest_csv``, and its
+    set-up child calls that name: both reach the ingest module's function,
+    and each command reads its file through it exactly once."""
+    assert cli.ingest_csv is ingest.ingest_csv
+    path = planted_csv(tmp_path)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ingest.ingest_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ingest_csv", recorder)
+    code, out = run_cli(capsys, [command, "--input", path, "--predictors", "a,b,c,e,f",
+                                 "--responders", "y", "--k", "2"])
+    assert code == 0 and json.loads(out)["d"] == 40
+    assert calls == [((path,), {})]
 
 
 # ---------------------------------------------------------------------------

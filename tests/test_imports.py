@@ -38,7 +38,7 @@ _SMALL = ["--d", "60", "--n", "6", "--m", "2", "--k", "2"]
 ], ids=["select-cond", "select-algorithm1", "verify", "count-ops"])
 def test_a_command_imports_only_what_it_runs(argv, absent, present):
     modules = _python("-m", "bestsubset.cli", *argv)
-    assert "bestsubset.search" in modules
+    assert {"bestsubset.search", "bestsubset.ingest"} <= modules
     assert not absent & modules
     assert present <= modules
 

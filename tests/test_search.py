@@ -912,6 +912,30 @@ def test_nan_scores_never_win():
     assert [w.winner() for w in windows] == [(0.25, (1,)), (0.5, (0,))]
 
 
+def test_argmin_hands_on_only_what_can_still_win(monkeypatch):
+    """A score above its responder's running minimum plus TIE_EPS can
+    never win, so it never reaches a window. When every score of the
+    second block exceeds the first block's minimum by more than TIE_EPS,
+    only the first block's m scores are added; judged against each
+    block's own minimum, the second block's m were added too."""
+    m = 5
+    first = np.linspace(0.1, 0.5, m)[None, :]
+    blocks = [(np.array([[0, 1]]), first),
+              (np.array([[0, 2]]), first + 10 * TIE_EPS)]
+    adds = []
+    add = ArgminWindow.add
+
+    def counted(self, score, subset):
+        adds.append((score, subset))
+        add(self, score, subset)
+
+    monkeypatch.setattr(ArgminWindow, "add", counted)
+    windows, scored = search._argmin(iter(blocks), m)
+    assert scored == 2
+    assert len(adds) == m
+    assert [w.winner() for w in windows] == [(s, (0, 1)) for s in first[0].tolist()]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_gram_table_is_an_error(tmp_path, capsys):
     """A column whose squared norm overflows float64 is an error naming
