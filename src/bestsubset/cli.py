@@ -80,7 +80,8 @@ def parse_column_spec(spec: str, names, p: int, what: str):
         if dash and lo.isdigit() and hi.isdigit():
             if int(lo) > int(hi):
                 raise ValueError(f"{what}: range {token!r} runs backwards")
-            out.extend(range(int(lo), int(hi) + 1))
+            # no further than p, the first index out of range
+            out.extend(range(int(lo), max(int(lo), min(int(hi), p)) + 1))
             continue
         raise ValueError(
             f"{what}: cannot resolve {token!r} "

@@ -29,7 +29,7 @@ reference and the per-subset timing probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GramTables:
+class GramTables(NamedTuple):
     """The ``rows`` [1; X; Y] (all-ones, n predictors, m responders), one
     contiguous d-vector each, and ``g``, the (1 + n + m) x (1 + n) table of
     their inner products with [1; X]: every one the subset scan will ever
@@ -272,8 +271,7 @@ class DesignMatrix:
         self.rows = _stacked(cols)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """One fitted regression: coefficients, residual and its mean square.
 
     ``beta[0]`` is the offset. ``mse`` uses the 1/d convention.

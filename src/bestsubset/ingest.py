@@ -268,15 +268,38 @@ def _ingest_fast(path: str):
         return None
 
 
-def _ingest_reference(path: str):
-    """``ingest_csv`` one cell at a time through ``float``: the reference."""
+def _records(path, fh):
+    """The non-blank records ``csv.reader`` reads from ``fh``; where it
+    stops, the ParseError of the row it stopped in."""
     raw = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    try:
+        for row in filter(None, csv.reader(fh)):  # skip fully blank lines
+            raw.append(row)
+    except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}", row=len(raw) + 1) from None
+    return raw
+
+
+def _ingest_reference(path: str):
+    """``ingest_csv`` one cell at a time through ``float``: the reference.
+
+    A file that is not UTF-8 raises ParseError at its first invalid byte,
+    named by its absolute offset (the decoder's position counts from its
+    own chunk) and by its row: the records before the byte, then its own,
+    which a stand-in for the byte keeps non-blank."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            raw = _records(path, fh)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            for row in filter(None, csv.reader(fh)):  # skip fully blank lines
-                raw.append(row)
-        except csv.Error as exc:  # e.g. a cell beyond csv.field_size_limit()
-            raise ParseError(f"{path}: {exc}", row=len(raw) + 1) from None
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start = exc.start
+        before = io.StringIO(data[:start].decode("utf-8-sig") + "?", newline="")
+        raise ParseError(f"{path}: byte 0x{data[start]:02x} at offset {start} is not UTF-8",
+                         row=len(_records(path, before))) from None
     if not raw:
         raise ParseError(f"{path}: file contains no data")
 

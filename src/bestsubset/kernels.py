@@ -29,7 +29,7 @@ instrumented value type. ``search.select_best`` runs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalNumericError
 from .gauss import _collinear, _eliminate, solve_symmetric
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TriangularCache:
+class TriangularCache(NamedTuple):
     """Responder-independent factor of one predictor subset.
 
     rt : unit upper triangular rows (k x k nested tuples)
@@ -62,16 +61,14 @@ class TriangularCache:
     eta: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ConditionalUuc:
+class ConditionalUuc(NamedTuple):
     """Conditional squared UUC of one responder given one subset."""
 
     omega_sq: float
     b: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RegressionCoefficients:
+class RegressionCoefficients(NamedTuple):
     beta0: float
     betas: tuple[float, ...]
 

@@ -24,8 +24,8 @@ closed-form polynomials; they are integers for every valid (k, d, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ __all__ = [
 COUNT_METHODS = ("alg1", "alg2", "hat-single", "hat-a", "hat-b")
 
 
-@dataclass(frozen=True)
-class OpTally:
+class OpTally(NamedTuple):
     """Immutable snapshot of counted arithmetic."""
 
     adds: int
@@ -165,9 +164,7 @@ def counted(value, tally: CountingTally) -> _Counted:
 # ---------------------------------------------------------------------------
 
 def _poly(*terms) -> int:
-    total = Fraction(0)
-    for t in terms:
-        total += t
+    total = sum(terms, Fraction(0))
     if total.denominator != 1:
         raise InternalNumericError(f"count polynomial gave non-integer {total}")
     return int(total)
@@ -295,19 +292,10 @@ def count_table(ks=range(1, 9), d: int = 30, ms=(1,)):
             for k in ks:
                 pred = predicted_counts(method, k, d=d, m=m)
                 meas = measure_counts(method, k, d=d, m=m)
-                rows.append({
-                    "method": method,
-                    "k": k,
-                    "d": d,
-                    "m": m,
-                    "adds_measured": meas.adds,
-                    "adds_predicted": pred.adds,
-                    "muls_measured": meas.muls,
-                    "muls_predicted": pred.muls,
-                    "divs_measured": meas.divs,
-                    "divs_predicted": pred.divs,
-                    "exact_match": meas == pred,
-                })
+                row = {"method": method, "k": k, "d": d, "m": m}
+                for op, measured, predicted in zip(OpTally._fields, meas, pred):
+                    row[f"{op}_measured"], row[f"{op}_predicted"] = measured, predicted
+                rows.append({**row, "exact_match": meas == pred})
     return rows
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,10 +113,8 @@ class ArgminWindow:
     def winner(self) -> tuple[float, tuple[int, ...]]:
         if not self.entries:
             raise NoValidSubsetError("no subset survived the scan")
-        lo = min(s for s, _ in self.entries)
-        best = min(t for s, t in self.entries if s <= lo + TIE_EPS)
-        score = next(s for s, t in self.entries if t == best)
-        return score, best
+        # ``add`` keeps only entries within TIE_EPS of the minimum
+        return min(self.entries, key=lambda e: e[1])
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +353,9 @@ def _check_request(n: int, d: int, ks, m: int, pair_limit: int | None, methods: 
         )
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    """Winner for one responder: where it is, how good it is, and the fit."""
+class SelectionResult(NamedTuple):
+    """Winner for one responder: where it is, how good it is, and the fit.
+    Its MSE and R^2 are read from the omega^2 that won its window."""
 
     responder_pos: int
     responder_column: int
@@ -365,11 +363,17 @@ class SelectionResult:
     subset: tuple[int, ...]
     subset_columns: tuple[int, ...]
     omega_sq_cond: float
-    mse: float
-    r_squared: float
     coefficients: RegressionCoefficients
     skipped_singular: int
     subsets_evaluated: int
+
+    @property
+    def mse(self) -> float:
+        return mse_from_uuc(self.responder_sigma * self.responder_sigma, self.omega_sq_cond)
+
+    @property
+    def r_squared(self) -> float:
+        return r_squared_from_uuc(self.omega_sq_cond)
 
 
 def select_best(
@@ -460,8 +464,6 @@ def select_best(
         subset=subset,
         subset_columns=tuple(model.predictors[j] for j in subset),
         omega_sq_cond=score,
-        mse=mse_from_uuc(sigma_y * sigma_y, score),
-        r_squared=r_squared_from_uuc(score),
         coefficients=RegressionCoefficients(b[0], tuple(b[1:])),
         skipped_singular=skipped,
         subsets_evaluated=scored,

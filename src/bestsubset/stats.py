@@ -21,8 +21,8 @@ or more predictors, the n x n predictor block, never the m x m one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class ObservationMatrix:
         return self.values[:, j].tolist()
 
 
-@dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(NamedTuple):
     """First and second moment of one column, 1/d normalisation."""
 
     mean: float
@@ -258,8 +257,7 @@ def _pairwise(table, cols, labels, n=None, square=True):
 # Correlation model: everything the subset scan needs, computed once
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationModel:
+class CorrelationModel(NamedTuple):
     """Global correlation structure for one selection problem.
 
     ``rx`` holds predictor/predictor correlations (n x n), or None in a
@@ -319,19 +317,10 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders, *,
     n = len(pred)
     rx, ry, stats = _pairwise(data.values, pred + resp, pred + resp, n,
                               square=k is None or k >= 2)
-    pstats, rstats = stats[:n], stats[n:]
-
-    return CorrelationModel(
-        d=data.d,
-        predictors=pred,
-        responders=resp,
-        rx=rx,
-        ry=ry,
-        pred_mean=tuple(s.mean for s in pstats),
-        pred_sigma=tuple(s.sigma for s in pstats),
-        resp_mean=tuple(s.mean for s in rstats),
-        resp_sigma=tuple(s.sigma for s in rstats),
-    )
+    means, sigmas, _ = zip(*stats)
+    return CorrelationModel(d=data.d, predictors=pred, responders=resp, rx=rx, ry=ry,
+                            pred_mean=means[:n], pred_sigma=sigmas[:n],
+                            resp_mean=means[n:], resp_sigma=sigmas[n:])
 
 
 def synthetic_observations(d: int, p: int, seed: int) -> ObservationMatrix:

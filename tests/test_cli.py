@@ -421,6 +421,25 @@ def test_column_spec_errors():
             cli.parse_column_spec(spec, names, 3, "t")
 
 
+@pytest.mark.parametrize("flag", ["--predictors", "--responders"])
+@pytest.mark.parametrize("spec, message", [
+    ("0-999999999999", "column index 3 out of range 0..2"),
+    ("0-3", "column index 3 out of range 0..2"),
+    ("5-9", "column index 5 out of range 0..2"),
+    ("0-5,zzz", "cannot resolve 'zzz'"),
+])
+def test_a_range_is_checked_before_it_is_expanded(tmp_path, capsys, flag, spec, message):
+    """A range ran to its end before any index was compared with p, so a
+    huge one ended in a MemoryError traceback."""
+    path = write_csv(tmp_path, "1,2,3\n4,5,7\n2,1,0\n")
+    flags = {"--predictors": "0", "--responders": "2", flag: spec}
+    code = cli.main(["select", "--input", path, "--predictors", flags["--predictors"],
+                     "--responders", flags["--responders"], "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: {message}")
+
+
 def test_duplicate_label_in_a_spec_is_an_error(tmp_path, capsys):
     """With the header a,a,c,y, ``--predictors a,c`` silently used the
     first 'a' (column 0), and ``1,c`` reported column 1 under the same
@@ -738,6 +757,27 @@ def test_exit_code_parse(tmp_path, capsys):
                          "--responders", "1", "--k", "1"])
         assert code == 3
         assert f"(row {row})" in capsys.readouterr().err
+
+
+# a Latin-1 header (its first bad byte at offset 2, row 1), and a bad byte
+# in a data cell after a blank line (offset 15; the blank line is not a row)
+@pytest.mark.parametrize("raw, offset, row", [
+    (b"Gr\xf6\xdfe,y\n1,2\n3,5\n4,4\n", 2, 1),
+    (b"a,y\n1,2\n\n3,5\n4,\xe94\n", 15, 4),
+], ids=["header", "data-cell"])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys, raw, offset, row, parts):
+    """It exited 2 (usage) with the decoder's message, whose position
+    counts from the decoder's own chunk, and named no row."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(raw)
+    with _ranges(parts, part_bytes=1):
+        code = cli.main(["select", "--input", str(path), "--predictors", "0",
+                         "--responders", "1", "--k", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: byte 0x{raw[offset]:02x} at offset {offset} is not UTF-8"
+        f" (row {row})\n")
 
 
 def test_exit_code_arity(tmp_path, capsys):

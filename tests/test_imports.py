@@ -43,6 +43,17 @@ def test_a_command_imports_only_what_it_runs(argv, absent, present):
     assert present <= modules
 
 
+@pytest.mark.parametrize("argv", [
+    ["select", *_SMALL],
+    ["verify", *_SMALL],
+    ["bench", *_SMALL],
+    ["count-ops", "--k", "2"],
+], ids=["select", "verify", "bench", "count-ops"])
+def test_no_command_imports_dataclasses(argv):
+    # every result record is a NamedTuple
+    assert "dataclasses" not in _python("-m", "bestsubset.cli", *argv)
+
+
 def test_public_names_load_on_first_use():
     assert not {m for m in _python("-c", "import bestsubset")
                 if m.startswith("bestsubset.")}

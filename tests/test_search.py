@@ -118,6 +118,32 @@ def test_window_winner_independent_of_stream_order():
         assert winners[0] == winners[1] == winners[2]
 
 
+# scores on a grid of TIE_EPS / 2 around a few bases, so exact ties and
+# near ties abound, mixed with arbitrary scores in [0, 1]
+_window_scores = st.one_of(
+    st.builds(lambda base, j: base + j * TIE_EPS / 2,
+              st.sampled_from((0.0, 0.2, 0.5)), st.integers(-8, 8)),
+    st.floats(0.0, 1.0),
+)
+_window_subsets = st.lists(st.integers(0, 6), min_size=1, max_size=3,
+                           unique=True).map(lambda c: tuple(sorted(c)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_window_scores, _window_subsets), min_size=1, max_size=30,
+                unique_by=lambda e: e[1]))
+def test_window_winner_is_the_definition(stream):
+    """Whatever the order of the stream, the winner is the smallest subset
+    among all candidates within TIE_EPS of the stream's minimum, with that
+    candidate's own score."""
+    w = ArgminWindow()
+    for score, subset in stream:
+        w.add(score, subset)
+    lo = min(score for score, _ in stream)
+    best = min(subset for score, subset in stream if score <= lo + TIE_EPS)
+    assert w.winner() == ({t: s for s, t in stream}[best], best)
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
