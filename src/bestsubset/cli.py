@@ -15,6 +15,12 @@ report rendering. Reading a CSV into a table lives in :mod:`.ingest`;
 ``select`` and ``verify`` call :func:`ingest_csv` through this module's
 own name for it, which ``perfbench/spans.py`` wraps to time ingest.
 
+:func:`run` is the program entry, behind ``python -m bestsubset.cli`` and
+the ``bestsubset`` script: it freezes the garbage collector once the
+command has ended, so the process exits without tearing down its heap.
+:func:`main` is the in-process entry, for tests and library callers, and
+leaves the collector as it was.
+
 Each subcommand builds its report once, as a dict plus its CSV and text
 renderings, and hands all three to :func:`_emit`, the one writer, which
 puts the JSON (versioned schema), the CSV or the aligned text table on
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import collections
 import csv
+import gc
 import io
 import json
 import math
@@ -73,11 +80,12 @@ def parse_column_spec(spec: str, names, p: int, what: str):
                 raise ValueError(f"{what}: name {token!r} labels columns {hits}")
             out.append(hits[0])
             continue
-        if token.isdigit():
+        # isdecimal, not isdigit: '²' is a digit that int refuses
+        if token.isdecimal():
             out.append(int(token))
             continue
         lo, dash, hi = token.partition("-")
-        if dash and lo.isdigit() and hi.isdigit():
+        if dash and lo.isdecimal() and hi.isdecimal():
             if int(lo) > int(hi):
                 raise ValueError(f"{what}: range {token!r} runs backwards")
             # no further than p, the first index out of range
@@ -130,7 +138,10 @@ def _csv_text(rows) -> str:
 def _emit(fmt, report, csv_text, text) -> None:
     """Write one report to stdout in ``fmt``: the ``report`` dict as JSON,
     or its ``csv_text`` or ``text`` rendering. Every subcommand's report
-    reaches stdout here and nowhere else."""
+    reaches stdout here and nowhere else. A closed stdout (``None``, as
+    ``>&-`` leaves it) is an OS error, reported like any other."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     if fmt == "json":
         sys.stdout.write(render_json(report))
     else:
@@ -435,6 +446,8 @@ def _check_ranges(args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command in process and return its exit status. The
+    garbage collector is left as it was found."""
     args = _build_parser().parse_args(argv)
     try:
         _check_ranges(args)
@@ -444,5 +457,18 @@ def main(argv=None) -> int:
         return exit_code_for(exc)
 
 
+def run(argv=None) -> int:
+    """The program entry: :func:`main`, then ``gc.freeze()``.
+
+    Freezing moves every object the command left to the permanent
+    generation, so the collections of interpreter shutdown skip them and
+    the OS reclaims the heap. atexit handlers still run, and stdout and
+    stderr are still flushed."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

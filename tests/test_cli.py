@@ -2,10 +2,14 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
 import pathlib
+import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -427,10 +431,13 @@ def test_column_spec_errors():
     ("0-3", "column index 3 out of range 0..2"),
     ("5-9", "column index 5 out of range 0..2"),
     ("0-5,zzz", "cannot resolve 'zzz'"),
+    ("²", "cannot resolve '²'"),
+    ("0-²", "cannot resolve '0-²'"),
 ])
 def test_a_range_is_checked_before_it_is_expanded(tmp_path, capsys, flag, spec, message):
     """A range ran to its end before any index was compared with p, so a
-    huge one ended in a MemoryError traceback."""
+    huge one ended in a MemoryError traceback. And ``str.isdigit`` let
+    '²' through to ``int``, whose error named no flag."""
     path = write_csv(tmp_path, "1,2,3\n4,5,7\n2,1,0\n")
     flags = {"--predictors": "0", "--responders": "2", flag: spec}
     code = cli.main(["select", "--input", path, "--predictors", flags["--predictors"],
@@ -967,3 +974,120 @@ def test_every_error_class_declares_its_own_distinct_exit_code():
     assert cli.exit_code_for(BestSubsetError("x")) == 2
     for exc in (ValueError("x"), OSError("x"), RuntimeError("x")):
         assert cli.exit_code_for(exc) == 2
+
+
+# ---------------------------------------------------------------------------
+# program entry
+# ---------------------------------------------------------------------------
+
+def test_a_closed_stdout_is_one_error_line(monkeypatch, capsys):
+    """With stdout closed (``>&-``) the report's write raised an
+    AttributeError traceback and exited 1."""
+    monkeypatch.setattr(sys, "stdout", None)
+    code = cli.main(["select", "--d", "60", "--n", "6", "--m", "2", "--k", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
+def _child(argv, prelude="", **kwargs):
+    """Run one command through the program entry in a fresh interpreter:
+    ``python -m bestsubset.cli ARGV``, or with ``prelude``, Python code run
+    first, ``cli.run(ARGV)`` after it."""
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(kwargs.pop("env", {}))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    if prelude:
+        code = f"import sys\nfrom bestsubset import cli\n{prelude}\nsys.exit(cli.run({argv!r}))"
+        cmd = [sys.executable, "-c", code]
+    else:
+        cmd = [sys.executable, "-m", "bestsubset.cli", *argv]
+    return subprocess.run(cmd, env=env, **kwargs)
+
+
+def _masked(out):
+    return re.sub(r'(wall_time_s"?(: |=))[-+.\de]+', r"\1*", out)
+
+
+# run_verify answers a failed check, as test_verify_failure_exit_code's
+# fake does, in the child and in process alike
+_FAILED_VERIFY = (
+    "cli.run_verify = lambda data, names, pred, resp, k, limit: ({'checks': [], "
+    "'pass': False, 'k': k, 'd': data.d, 'n': len(pred), 'm': len(resp)}, False)")
+
+_MANY = ["--d", "200", "--n", "20", "--m", "2000", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv, prelude, status", [
+    (["select", *_MANY, "--format", "json"], "", 0),
+    (["select", *_MANY, "--format", "csv"], "", 0),
+    (["select", *_MANY, "--format", "text"], "", 0),
+    (["verify", "--d", "200", "--n", "8", "--m", "3", "--k", "2"], "", 0),
+    (["count-ops", "--k", "3", "--m", "2", "--format", "csv"], "", 0),
+    (["select", "--d", "60", "--n", "6", "--m", "2", "--k", "2", "--limit", "-1"], "", 2),
+    (["select", "--input", "{unparsable}", "--predictors", "0", "--responders", "1",
+      "--k", "1"], "", 3),
+    (["select", "--d", "20", "--n", "4", "--m", "1", "--k", "5"], "", 7),
+    (["verify", "--d", "20", "--n", "4", "--m", "1", "--k", "2"], _FAILED_VERIFY, 10),
+], ids=["select-json", "select-csv", "select-text", "verify", "count-ops",
+        "exit-2", "exit-3", "exit-7", "exit-10"])
+def test_the_program_entry_reports_as_main_does(tmp_path, monkeypatch, capsys,
+                                               argv, prelude, status):
+    """``python -m bestsubset.cli`` exits through ``cli.run``, which freezes
+    the collector after the report: the report arrives whole, even past a
+    pipe buffer (select at m = 2000), with the status and bytes of
+    in-process ``cli.main`` but for the wall time."""
+    unparsable = write_csv(tmp_path, "a,b\n1,2\nx,4\n")
+    argv = [a.format(unparsable=unparsable) for a in argv]
+    child = _child(argv, prelude)
+    if prelude:
+        monkeypatch.setattr(cli, "run_verify", cli.run_verify)  # restored after
+        exec(prelude, {"cli": cli})
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (child.returncode, code) == (status, status)
+    assert _masked(child.stdout.decode()) == _masked(out)
+    assert child.stderr.decode() == err
+    if argv[:1] == ["select"] and status == 0:
+        assert len(child.stdout) > 65536
+
+
+def test_the_program_entry_still_flushes_and_runs_atexit():
+    """Only the collections of shutdown are skipped: atexit handlers run,
+    and a buffered report that cannot be flushed still exits 120."""
+    prelude = "import atexit\natexit.register(lambda: print('atexit ran', file=sys.stderr))"
+    argv = ["select", "--d", "60", "--n", "6", "--m", "2", "--k", "2"]
+    child = _child(argv, prelude)
+    assert child.returncode == 0 and child.stderr == b"atexit ran\n"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        child = _child(argv, prelude, stdout=full, env={"PYTHONUNBUFFERED": ""})
+    assert child.returncode == 120
+    assert b"atexit ran" in child.stderr
+    assert b"No space left on device" in child.stderr
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    """Tests, the benchmark's traced commands and library callers run
+    ``main`` in process; only ``run`` freezes."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["select", "--d", "60", "--n", "6", "--m", "2", "--k", "2"],
+                 ["select", "--d", "20", "--n", "4", "--m", "1", "--k", "5"],
+                 ["count-ops", "--k", "2"]):
+        cli.main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
+
+
+def test_run_freezes_the_collector_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(gc.get_freeze_count()) or 7)
+    try:
+        assert cli.run(["select"]) == 7
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert calls == [0]
