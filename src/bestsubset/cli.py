@@ -92,8 +92,8 @@ def parse_column_spec(spec: str, names, p: int, what: str):
             out.extend(range(int(lo), max(int(lo), min(int(hi), p)) + 1))
             continue
         raise ValueError(
-            f"{what}: cannot resolve {token!r} "
-            + ("(no header row, so only indices work)" if names is None else "")
+            f"{what}: cannot resolve {token!r}"
+            + (" (no header row, so only indices work)" if names is None else "")
         )
     if not out:
         raise ValueError(f"{what}: no columns given")

@@ -37,21 +37,22 @@ def _collinear(i, pivot, singular=False):
     return singular | bad
 
 
-def _eliminate(a, n):
-    """Run the first n - 1 pivots of the elimination in place, on lists
-    of scalars or on a q x q x ... numpy block.
+def _eliminate(a, n, pivots=None):
+    """Run the first ``pivots`` pivots of the elimination in place (n - 1
+    by default, n to finish a factorisation), on lists of scalars or on a
+    q x q x ... numpy block.
 
     Returns ``(mult, recips, singular)``: ``mult`` and ``recips`` as
-    :func:`factor_symmetric`'s, except that ``recips[n - 1]`` is still
-    None: the last diagonal entry is left unchecked, so callers that read
-    it as a determinant ratio see an exact 0 rather than an error.
+    :func:`factor_symmetric`'s, except that by default ``recips[n - 1]`` is
+    still None: the last diagonal entry is left unchecked, so callers that
+    read it as a determinant ratio see an exact 0 rather than an error.
     ``singular`` is :func:`_collinear`'s mask of a block's collinear
     entries (False for scalars, which raise instead).
     """
     mult = [[None] * n for _ in range(n)]
     recips = [None] * n
     singular = False
-    for i in range(n - 1):
+    for i in range(n - 1 if pivots is None else pivots):
         pivot = a[i][i]
         singular = _collinear(i, pivot, singular)
         recip = 1.0 / pivot
@@ -78,10 +79,7 @@ def factor_symmetric(a, n):
     collinearity threshold, before its reciprocal is taken; a block, that
     of its first collinear entry, whose pivots no later step changes.
     """
-    mult, recips, singular = _eliminate(a, n)
-    last = a[n - 1][n - 1]
-    singular = _collinear(n - 1, last, singular)
-    recips[n - 1] = 1.0 / last
+    mult, recips, singular = _eliminate(a, n, n)
     if singular is not False and singular.any():
         e = np.unravel_index(np.argmax(singular), singular.shape)
         for i in range(n):

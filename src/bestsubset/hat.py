@@ -24,7 +24,8 @@ for both the ``hat-*`` scan (:func:`_lsq_block`) and :func:`fit_multi`.
 It runs the scalar fits' operations in their order, elementwise across
 the block, so its sums of squares are :func:`scan_fit_a`'s and
 :func:`scan_fit_b`'s bit for bit; those remain only as the op-count
-reference and the per-subset timing probe.
+reference and the per-subset timing probe. :func:`_winners_betas` solves
+the scan's winners on its tables: no other module reads a Gram table.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalNumericError
-from .gauss import (_collinear, _eliminate, back_substitute, factor_symmetric,
-                    forward_apply, solve_symmetric)
+from .gauss import _eliminate, back_substitute, factor_symmetric, forward_apply, solve_symmetric
 from .stats import _checked_columns, _dots
 
 __all__ = [
@@ -150,9 +150,7 @@ def _residual_block(tables, subsets, method):
     # skipped subsets divide by tiny pivots, and Python floats overflow
     # to inf and NaN without a warning: the block runs as silently
     with np.errstate(all="ignore"):
-        mult, recips, singular = _eliminate(a, q)
-        singular = _collinear(k, a[k][k], singular)  # factor_symmetric's last pivot
-        recips[k] = 1.0 / a[k][k]
+        mult, recips, singular = _eliminate(a, q, q)  # factor_symmetric's pivots
         if method == "hat-a":
             forward_apply(mult, xty, q)
             basis, vec = cols, back_substitute(a, recips, xty, q)
@@ -181,6 +179,15 @@ def _lsq_block(tables, subsets, method, sigma_sq):
     residuals, singular = _residual_block(tables, subsets, method)
     with np.errstate(all="ignore"):
         return _sse(residuals) / tables.d / sigma_sq, singular
+
+
+def _winners_betas(tables, s):
+    """The ``hat-*`` winners' coefficients, offset first, winner t in
+    column t of the k x m ``s`` and of the result: one block solve of the
+    normal equations the scan eliminated, so none is singular."""
+    pos = np.insert(s + 1, 0, 0, axis=0)  # the all-ones row, then the subset
+    return solve_symmetric(tables.g[pos[:, None], pos[None, :]],
+                           tables.g[1 + tables.n + np.arange(s.shape[1]), pos])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ predictor block is numerically collinear are skipped, and the skip
 decision, ``gauss._collinear``, depends only on the predictors.
 Each winner reports the omega^2 that won its window, and its MSE and
 R^2 from that score; only coefficients are solved, for all m winners in
-one block solve of their correlations, or for hat-* of the scan's own
-Gram tables.
+one block solve of their correlations, or for hat-* by ``hat`` on the
+scan's own Gram tables, which this module never reads.
 """
 
 from __future__ import annotations
@@ -37,15 +37,15 @@ from .errors import (
     NoValidSubsetError,
     UnknownMethodError,
 )
-from .gauss import _collinear, _eliminate, solve_symmetric
+from .gauss import _collinear, _eliminate
 from .kernels import (
     RegressionCoefficients,
     coefficients_from_correlations,
     mse_from_uuc,
     r_squared_from_uuc,
 )
-from .stats import CorrelationModel, ObservationMatrix, build_correlation_model
-from .tolerances import DEFAULT_PAIR_LIMIT, TIE_EPS, _clamp
+from .stats import DOT_FLOATS, CorrelationModel, ObservationMatrix, build_correlation_model
+from .tolerances import DEFAULT_PAIR_LIMIT, TIE_EPS, _clamp_all
 
 __all__ = [
     "METHODS",
@@ -151,21 +151,12 @@ def _argmin(blocks, m):
     return windows, scored
 
 
-def _range_check(omega, what):
-    """``_clamp`` the b x m omega^2 outside [0, 1] in (subset, responder) order, in place."""
-    for i, t in zip(*np.nonzero(~((omega >= 0.0) & (omega <= 1.0)))):
-        omega[i, t] = _clamp(float(omega[i, t]), 0.0, 1.0, what)
-
-
 # Subsets handled per numpy pass of the tree walk. The walk holds one
 # block of at most this many nodes per level while it walks the levels
 # below it, and a node of size s holds s * (n + m) + m floats of state, so
 # the k levels hold about BLOCK * k * (k + 1) * (n + m) / 2 floats whatever
 # C(n, k) is.
 BLOCK = 512
-# Floats gathered at once: the parents' v rows for a block of leaves, and
-# the rows of rx for a block of inner nodes.
-LEAF_FLOATS = 2**16
 
 
 def _tree_blocks(rx, ry, k):
@@ -190,11 +181,12 @@ def _tree_blocks(rx, ry, k):
     the new row is computed from them into row j. While the walk descends,
     a level holds just that state, so the walk's working set is the sum of
     one block's state per level. A leaf block reads its parents' v rows,
-    and an inner block the rows ``rx[c]``, ``LEAF_FLOATS`` floats at a
-    time; a leaf block keeps only its subsets and omega^2
-    (``rx`` is never read at k = 1, so it may be None there); those outside
-    [0, 1] go through the shared range check before a leaf block is
-    yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
+    and an inner block the rows ``rx[c]``, ``stats.DOT_FLOATS`` floats at
+    a time, the inner-product kernel's budget; a leaf block keeps only its
+    subsets and omega^2 (``rx`` is never read at k = 1, so it may be None
+    there); those outside [0, 1] go through the shared table clamp,
+    ``tolerances._clamp_all``, before a leaf block is yielded, so perfect
+    fits tie at 0.0 in :func:`_argmin`.
     """
     m, n = ry.shape
     rho = np.ascontiguousarray(ry.T)
@@ -224,7 +216,7 @@ def _tree_blocks(rx, ry, k):
         if leaf:
             # the parents' v rows of a few leaves at a time
             vc = np.empty((b, m))
-            step = max(LEAF_FLOATS // (j * m), 1) if j else b
+            step = max(DOT_FLOATS // (j * m), 1) if j else b
             for lo in range(0, b, step):
                 s = slice(lo, lo + step)
                 np.einsum("ij,ijt->it", g[s], v[p[s]], out=vc[s])
@@ -240,13 +232,13 @@ def _tree_blocks(rx, ry, k):
         child_omega /= pivot[:, None]
         np.subtract(omega[p], child_omega, out=child_omega)
         if leaf:
-            _range_check(child_omega, "conditional_uuc")
+            _clamp_all(child_omega, 0.0, 1.0, lambda i, t: "conditional_uuc")
             return child, child_omega
         cu = np.empty((b, j + 1, n))
         for r in range(j):
             cu[:, r] = u[p, r]
         np.einsum("ij,ijq->iq", g, cu[:, :j], out=cu[:, j])
-        step = max(LEAF_FLOATS // n, 1)
+        step = max(DOT_FLOATS // n, 1)
         for lo in range(0, b, step):  # the rows rx[c] a few at a time
             s = slice(lo, lo + step)
             np.subtract(rx[c[s]], cu[s, j], out=cu[s, j])
@@ -322,7 +314,7 @@ def _alg1_block(rx, ry, subsets):
     with np.errstate(all="ignore"):
         singular = _eliminate(a, k + 1)[2][:, 0]
     a[k, k][singular] = 0.0
-    _range_check(a[k, k], "omega_sq_stacked")
+    _clamp_all(a[k, k], 0.0, 1.0, lambda i, t: "omega_sq_stacked")
     return a[k, k], singular
 
 
@@ -446,10 +438,7 @@ def select_best(
     s = np.array(subsets).T
     with np.errstate(all="ignore"):
         if method.startswith("hat"):
-            # the scan eliminated these very entries of its tables: none is singular
-            pos = np.insert(s + 1, 0, 0, axis=0)  # the all-ones row, then the subset
-            beta = solve_symmetric(tables.g[pos[:, None], pos[None, :]],
-                                   tables.g[1 + n + np.arange(m), pos])
+            beta = hat._winners_betas(tables, s)
         else:
             mus, sigmas = np.array(model.pred_mean)[s], np.array(model.pred_sigma)[s]
             rx = [[1.0]] if model.rx is None else model.rx[s[:, None], s[None, :]]

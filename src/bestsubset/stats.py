@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalNumericError, ZeroVarianceColumn
-from .tolerances import EPS_VAR, _clamp
+from .tolerances import EPS_VAR, _clamp_all
 
 __all__ = [
     "ObservationMatrix",
@@ -206,8 +206,9 @@ def _pairwise(table, cols, labels, n=None, square=True):
     at once. Entry (i, j) depends only on columns i and j, and np.dot and
     the sigma product are symmetric in their operands, so any slice of
     the result, in either orientation, equals the pairwise value bit for
-    bit. Only the entries computed are range-checked, in the order of
-    the upper triangle of the q x q matrix.
+    bit. Only the entries computed are range-checked, by
+    ``tolerances._clamp_all``: the n x n matrix first, whose mirrored
+    entries hold the same bits and so clamp alike, then the rest's rows.
     """
     d = table.shape[0]
     n = len(cols) if n is None else n
@@ -239,17 +240,10 @@ def _pairwise(table, cols, labels, n=None, square=True):
             for s, row in zip(rows, block):
                 row /= d
                 row /= s * sigma[:n]
-    bad = [(j, n + t) for t, j in zip(*np.nonzero(~((ry >= -1.0) & (ry <= 1.0))))]
     if rx is not None:
         np.fill_diagonal(rx, 1.0)
-        bad += zip(*np.nonzero(np.triu(~((rx >= -1.0) & (rx <= 1.0)), 1)))
-    for i, j in sorted(bad):
-        value = _clamp(float(rx[i, j] if j < n else ry[j - n, i]), -1.0, 1.0,
-                       f"pearson({labels[i]!r}, {labels[j]!r})")
-        if j < n:
-            rx[i, j] = rx[j, i] = value
-        else:
-            ry[j - n, i] = value
+        _clamp_all(rx, -1.0, 1.0, lambda i, j: f"pearson({labels[i]!r}, {labels[j]!r})")
+    _clamp_all(ry, -1.0, 1.0, lambda t, j: f"pearson({labels[j]!r}, {labels[n + t]!r})")
     return rx, ry, stats
 
 

@@ -34,6 +34,14 @@ def _clamp(value: float, lo: float, hi: float, what: str) -> float:
     raise InternalNumericError(f"{what} = {value!r} is outside [{lo}, {hi}] beyond tolerance")
 
 
+def _clamp_all(table, lo: float, hi: float, what) -> None:
+    """:func:`_clamp` each entry of the 2-D numpy ``table`` outside
+    [lo, hi] in place, in row-major order; ``what(i, j)`` names entry
+    (i, j), so the error of a table is that of its first such entry."""
+    for i, j in zip(*(~((table >= lo) & (table <= hi))).nonzero()):
+        table[i, j] = _clamp(float(table[i, j]), lo, hi, what(i, j))
+
+
 # Two subset scores within this absolute distance are treated as tied; the
 # lexicographically smallest index tuple wins.
 TIE_EPS = 1e-12

@@ -447,6 +447,32 @@ def test_a_range_is_checked_before_it_is_expanded(tmp_path, capsys, flag, spec, 
     assert err.startswith(f"error: {flag}: {message}")
 
 
+@pytest.mark.parametrize("table, message", [
+    ("a,b,y\n1,2,3\n4,5,7\n2,1,0\n", "cannot resolve '{}'"),
+    ("1,2,3\n4,5,7\n2,1,0\n", "cannot resolve '{}' (no header row, so only indices work)"),
+], ids=["header", "no-header"])
+@pytest.mark.parametrize("spec", ["zz", "²"])
+def test_an_unresolved_spec_is_one_exact_line(tmp_path, capsys, table, message, spec):
+    """The whole message, to the end of its line: with a header it ended
+    in a blank, the space before a no-header hint that was empty there."""
+    path = write_csv(tmp_path, table)
+    code = cli.main(["select", "--input", path, "--predictors", spec,
+                     "--responders", "2", "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: --predictors: {message.format(spec)}\n"
+
+
+@pytest.mark.parametrize("cmd", ["select", "verify"])
+@pytest.mark.parametrize("given", [[], ["--d", "50", "--n", "4"], ["--predictors", "0"]])
+def test_an_instance_needs_a_file_or_its_whole_shape(capsys, cmd, given):
+    """Without --input, a synthetic instance needs all of --d, --n and --m."""
+    code = cli.main([cmd, *given, "--k", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: either --input or all of --d/--n/--m are required\n"
+
+
 def test_duplicate_label_in_a_spec_is_an_error(tmp_path, capsys):
     """With the header a,a,c,y, ``--predictors a,c`` silently used the
     first 'a' (column 0), and ``1,c`` reported column 1 under the same

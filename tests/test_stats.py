@@ -18,10 +18,31 @@ from bestsubset import (
     pearson,
     synthetic_observations,
 )
-from bestsubset import cli, stats
+from bestsubset import cli, select_best, stats, tolerances
 from bestsubset.search import slice_correlations
 from bestsubset.stats import _dots
 from bestsubset.tolerances import EPS_NUM, _clamp
+
+
+def test_an_exact_affine_responder_clamps_to_one(monkeypatch):
+    """A responder 3 x0 - 2 correlates with x0 at 1.0000000000000002 on
+    this draw: the range rule lands it on exactly 1.0, so ``cond-uncorrelation``
+    picks x0 with omega^2 = 0."""
+    x = np.random.default_rng(3).standard_normal((30, 3))
+    data = ObservationMatrix(np.column_stack((x, 3 * x[:, 0] - 2)))
+    clamped = []
+    clamp = tolerances._clamp
+
+    def recorded(value, lo, hi, what):
+        clamped.append((value, what))
+        return clamp(value, lo, hi, what)
+
+    monkeypatch.setattr(tolerances, "_clamp", recorded)
+    model = build_correlation_model(data, [0, 1, 2], [3])
+    assert clamped == [(1.0000000000000002, "pearson(0, 3)")]
+    assert model.ry[0, 0] == 1.0
+    (r,) = select_best(data, [0, 1, 2], [3], 1)
+    assert r.subset == (0,) and r.omega_sq_cond == 0.0
 
 
 def test_column_stats_known_values():
