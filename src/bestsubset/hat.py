@@ -23,9 +23,10 @@ One block kernel, :func:`_residual_block`, fits numpy blocks of subsets
 for both the ``hat-*`` scan (:func:`_lsq_block`) and :func:`fit_multi`.
 It runs the scalar fits' operations in their order, elementwise across
 the block, so its sums of squares are :func:`scan_fit_a`'s and
-:func:`scan_fit_b`'s bit for bit; those remain only as the op-count
-reference and the per-subset timing probe. :func:`_winners_betas` solves
-the scan's winners on its tables: no other module reads a Gram table.
+:func:`scan_fit_b`'s bit for bit; those remain only as the tests'
+reference and a per-subset timing probe, as the op counter counts the
+block kernel. :func:`_winners_betas` solves the scan's winners on its
+tables, and :func:`fit_multi`'s subset: no other module indexes a Gram table.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _residual_block(tables, subsets, method):
         else:
             forward_apply(mult, cols, q)
             basis, vec = back_substitute(a, recips, cols, q), xty
-        acc = np.zeros((b, len(y), d))
+        acc = np.zeros((b, len(y), d), dtype=rows.dtype)
         for j in range(q):
             acc += basis[j][:, None, :] * vec[j][:, :, None]
         np.subtract(y, acc, out=acc)
@@ -184,10 +185,11 @@ def _lsq_block(tables, subsets, method, sigma_sq):
 def _winners_betas(tables, s):
     """The ``hat-*`` winners' coefficients, offset first, winner t in
     column t of the k x m ``s`` and of the result: one block solve of the
-    normal equations the scan eliminated, so none is singular."""
+    normal equations the scan eliminated, so none is singular. A k x 1
+    ``s`` is one subset, solved for every responder (:func:`fit_multi`)."""
     pos = np.insert(s + 1, 0, 0, axis=0)  # the all-ones row, then the subset
     return solve_symmetric(tables.g[pos[:, None], pos[None, :]],
-                           tables.g[1 + tables.n + np.arange(s.shape[1]), pos])
+                           tables.g[np.arange(1 + tables.n, len(tables.g)), pos])
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +301,10 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     """Fit every responder in ``ys`` on the same design.
 
     ``ordering`` ("a" or "b") picks the block kernel's schedule for the
-    residuals; results agree to rounding. Either way the coefficients come
-    from one factorisation of the normal matrix, applied to every
-    responder's X^T y at once as one block, both assembled from Gram tables
-    built as :func:`gram_products` builds the scan's. An unknown ordering, empty
+    residuals; results agree to rounding. Either way :func:`_winners_betas`,
+    the scan's winners' block solve, gives the coefficients: one
+    factorisation for every responder's X^T y, read from Gram tables built
+    as :func:`gram_products` builds the scan's. An unknown ordering, empty
     ``ys`` or a NaN or infinite value raises ValueError, a collinear design
     SingularMatrixError, and a column whose squared norm overflows
     float64 InternalNumericError (predictors, then ys, from 0).
@@ -318,12 +320,11 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     if not ys:
         raise ValueError("need at least one predictor and one responder column")
     tables = _gram_tables(_stacked([*X.rows[1:], *ys]), X.k, range(X.k + len(ys)))
-    idx = range(X.k)
-    # one factorisation, which names the pivot of a collinear design; row j
-    # of the right hand side is entry j of every responder's X^T y
-    betas = np.array(solve_symmetric(assemble_xtx(tables, idx),
-                                     list(tables.g[X.k + 1:].T))).T.tolist()
-    residuals, _ = _residual_block(tables, np.array([idx]), "hat-" + ordering)
+    subset = np.arange(X.k)
+    # the block divides by a collinear pivot before it raises, unwarned
+    with np.errstate(all="ignore"):
+        betas = np.array(_winners_betas(tables, subset[:, None])).T.tolist()
+    residuals, _ = _residual_block(tables, subset[None, :], "hat-" + ordering)
     res = residuals[0].tolist()
     sses = _sse(residuals)[0].tolist()
     return [FitResult(beta=tuple(betas[t]), residual=tuple(res[t]), sse=sses[t],

@@ -4,10 +4,20 @@ The selling point of the determinant-ratio method is its operation
 count, so the count has to be measured, not asserted. This module wraps
 the arrays production reads (the correlation model, or the Gram matrix
 and the rows [1; X; Y]) in a counting type, with one ``np.vectorize``
-per measurement, and pushes them through the very same kernel functions
-production uses; every +, - (counted as an addition), * and / is
-tallied. Comparisons, copies, abs and index arithmetic are free,
-matching how the reference counts are stated.
+per measurement, and pushes them through a kernel; every +, - (counted
+as an addition), * and / is tallied. Comparisons, copies, abs and index
+arithmetic are free, matching how the reference counts are stated.
+
+Each row runs one kernel on one subset. "alg1" runs the ``algorithm1``
+scan's block kernel, ``search._alg1_block``. "alg2" runs the paper's
+Algorithm 2 scalar kernels, ``kernels.triangulate`` and
+``conditional_uuc``, which ``cond-uncorrelation``'s tree walk does not
+run. The "hat-*" rows run the ``hat-*`` scan's block kernel,
+``hat._residual_block``, then sum each responder's squared residuals
+from 0. The scan's ``np.add.accumulate`` is not counted: it skips only
+the first addition, 0.0 + x, which is exact. Nor is ``hat._lsq_block``'s
+division by d and the responder's variance: it scales the scores for
+the tie window and is no part of the fit.
 
 Counting conventions worth knowing before reading the numbers:
 
@@ -83,8 +93,9 @@ def _val(x):
 class _Counted:
     """A float that reports every arithmetic operation to its tally.
 
-    Mixed expressions with plain numbers count too, via the reflected
-    operators. Unary minus and abs are free, as are all comparisons.
+    Mixed expressions with plain numbers count too, via the reflected +,
+    - and /, the only reflected operators the counted kernels reach.
+    Unary minus and abs are free, as are the comparisons <, <= and >=.
     """
 
     __slots__ = ("v", "t")
@@ -113,10 +124,6 @@ class _Counted:
         self.t.muls += 1
         return _Counted(self.v * _val(o), self.t)
 
-    def __rmul__(self, o):
-        self.t.muls += 1
-        return _Counted(_val(o) * self.v, self.t)
-
     def __truediv__(self, o):
         self.t.divs += 1
         return _Counted(self.v / _val(o), self.t)
@@ -140,19 +147,8 @@ class _Counted:
     def __le__(self, o):
         return self.v <= _val(o)
 
-    def __gt__(self, o):
-        return self.v > _val(o)
-
     def __ge__(self, o):
         return self.v >= _val(o)
-
-    def __eq__(self, o):
-        return self.v == _val(o)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"counted({self.v!r})"
 
 
 def counted(value, tally: CountingTally) -> _Counted:
@@ -229,11 +225,13 @@ def _run_counted(method, data, model, k, m, tally):
             conditional_uuc(cache, rho)
     else:
         tables = hat.gram_products(data, range(k), range(k, k + m))
-        g, rows = wrap(tables.g), wrap(tables.rows)
-        # [1; X] is rows 0..k of the Gram table, and responder t row k+1+t
-        xtx, xtys = g[:k + 1, :k + 1].tolist(), g[k + 1:, :k + 1].tolist()
-        fit = hat.scan_fit_b if method == "hat-b" else hat.scan_fit_a
-        fit(xtx, xtys, rows[:k + 1].tolist(), rows[k + 1:].tolist(), data.d)
+        # a collinear draw raises here, not as a counting scalar's zero division
+        factor_symmetric(hat.assemble_xtx(tables, subset), k + 1)
+        residuals, _ = hat._residual_block(
+            tables._replace(g=wrap(tables.g), rows=wrap(tables.rows)),
+            np.array([subset]), method)
+        for e in residuals[0]:
+            sum(e * e)  # each responder's squared residuals, summed from 0
 
 
 def measure_counts(method: str, k: int, d: int = 30, m: int = 1,

@@ -1,9 +1,12 @@
 """Counting scalar behaviour and measured-vs-predicted operation counts."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
-from bestsubset import OpTally, measure_counts, predicted_counts
+from bestsubset import ObservationMatrix, OpTally, measure_counts, predicted_counts
+from bestsubset import hat, opcount
 from bestsubset.opcount import (
     COUNT_METHODS,
     CountingTally,
@@ -146,3 +149,36 @@ def test_count_table_and_rendering():
     assert csv_text.splitlines()[0].startswith("method,k,d,m,adds_measured")
     table = format_count_table(rows, "text")
     assert all(method in table for method in COUNT_METHODS)
+
+
+def test_counts_run_the_block_kernel_not_the_scalar_fits(monkeypatch):
+    """The hat-* rows count ``hat._residual_block``, the kernel the scan
+    runs: with the scalar fits gone, the golden table is unchanged."""
+    def unreachable(*args):
+        raise AssertionError("the op counter ran a scalar least-squares fit")
+
+    monkeypatch.setattr(hat, "scan_fit_a", unreachable)
+    monkeypatch.setattr(hat, "scan_fit_b", unreachable)
+    table = format_count_table(count_table(ks=range(1, 9), d=30, ms=range(1, 6)), "csv")
+    assert table == (pathlib.Path(__file__).parent / "golden" /
+                     "count_ops_k8_m5_d30.csv").read_text()
+
+
+@pytest.mark.parametrize("method", COUNT_METHODS)
+def test_a_collinear_draw_is_redrawn(monkeypatch, method):
+    """A first draw whose column 1 repeats column 0 is singular for every
+    kernel. It is redrawn before any counting scalar divides by its zero
+    pivot, and the tally is an unpatched call's."""
+    expected = measure_counts(method, 3, d=20)
+    draw, draws = opcount.synthetic_observations, []
+
+    def collinear_first(d, p, seed):
+        x = draw(d, p, seed=seed).values.copy()
+        if not draws:
+            x[:, 1] = x[:, 0]
+        draws.append(seed)
+        return ObservationMatrix(x)
+
+    monkeypatch.setattr(opcount, "synthetic_observations", collinear_first)
+    assert measure_counts(method, 3, d=20) == expected
+    assert len(draws) == 4  # the collinear draw, then three counted ones
