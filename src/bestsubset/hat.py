@@ -318,7 +318,7 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
         if not np.isfinite(y).all():
             raise ValueError("responder contains NaN or infinite entries")
     if not ys:
-        raise ValueError("need at least one predictor and one responder column")
+        raise ValueError("need at least one responder column")
     tables = _gram_tables(_stacked([*X.rows[1:], *ys]), X.k, range(X.k + len(ys)))
     subset = np.arange(X.k)
     # the block divides by a collinear pivot before it raises, unwarned

@@ -52,8 +52,8 @@ def ingest_csv(path: str):
     Each cell is a number in Python ``float`` syntax, surrounding
     whitespace allowed; fully blank lines and a leading UTF-8 byte-order
     mark are ignored. The first non-blank record is a header supplying
-    column names if any of its cells fails to parse as a number;
-    otherwise every record is data (see :func:`_header`).
+    column names if any of its cells fails to parse as a number, even
+    beside a ``nan``; otherwise every record is data (see :func:`_header`).
     Returns (matrix, names) with names None when there was no header.
     Row/column positions in errors are 1-based, count the header row and
     skip blank lines.
@@ -84,17 +84,16 @@ def _parse_cell(cell, rownum, colnum):
 def _header(record):
     """The first record's names, or None when it is data.
 
-    Cells are read left to right up to the first that is not a finite
-    number: if it does not parse, the record is a header; if it is
-    non-finite, its NonFiniteValueError is raised, header or not.
+    The record is a header if any of its cells does not parse, so a
+    name may read ``nan`` or ``inf``. Only when every cell parses is the
+    NonFiniteValueError of its first non-finite cell raised.
     """
     try:
-        for j, cell in enumerate(record):
-            _parse_cell(cell, 1, j + 1)
-    except NonFiniteValueError:
-        raise
-    except ParseError:
+        list(map(float, record))  # fails where _parse_cell's float(text) fails
+    except ValueError:
         return [c.strip() for c in record]
+    for j, cell in enumerate(record):
+        _parse_cell(cell, 1, j + 1)
     return None
 
 

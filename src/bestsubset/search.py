@@ -440,11 +440,10 @@ def select_best(
         if method.startswith("hat"):
             beta = hat._winners_betas(tables, s)
         else:
-            mus, sigmas = np.array(model.pred_mean)[s], np.array(model.pred_sigma)[s]
             rx = [[1.0]] if model.rx is None else model.rx[s[:, None], s[None, :]]
             c = coefficients_from_correlations(
-                rx, model.ry[np.arange(m), s], np.array(model.resp_sigma), sigmas,
-                np.array(model.resp_mean), mus)
+                rx, model.ry[np.arange(m), s], model.resp_sigma, model.pred_sigma[s],
+                model.resp_mean, model.pred_mean[s])
             beta = [c.beta0, *c.betas]
     return [SelectionResult(
         responder_pos=t,
@@ -457,4 +456,4 @@ def select_best(
         skipped_singular=skipped,
         subsets_evaluated=scored,
     ) for t, (sigma_y, score, subset, b)
-        in enumerate(zip(model.resp_sigma, scores, subsets, np.array(beta).T.tolist()))]
+        in enumerate(zip(model.resp_sigma.tolist(), scores, subsets, np.array(beta).T.tolist()))]

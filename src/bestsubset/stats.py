@@ -7,7 +7,8 @@ intermediate quantities comparable across modules.
 
 Every inner product, of the correlations and of the least-squares Gram
 tables alike, comes out of one kernel, :func:`_dots`, which fills the
-table it is handed with vector-vector matmuls: numpy hands each to the
+table it is handed, a tile with itself too, with vector-vector matmuls:
+numpy hands each, like each sum of squares of :func:`_moments`, to the
 BLAS ddot that ``np.dot`` calls. So entry (i, j) depends only on rows i
 and j, and a slice of a table is bit-identical to the small table
 recomputed from raw data. A gemv, GEMM or einsum sums an entry in an
@@ -20,8 +21,8 @@ or more predictors, the n x n predictor block, never the m x m one.
 
 from __future__ import annotations
 
-import math
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +94,7 @@ class ObservationMatrix:
 
 
 class ColumnStats(NamedTuple):
-    """First and second moment of one column, 1/d normalisation."""
+    """First and second moment of one column, 1/d normalisation (arrays from :func:`_moments`)."""
 
     mean: float
     sigma: float
@@ -110,11 +111,17 @@ def column_stats(x) -> ColumnStats:
     A constant column yields sigma exactly 0; no error is raised here.
     Callers that need a correlation decide whether that is fatal.
     """
-    v = np.asarray(x, dtype=np.float64)
-    mean = float(np.mean(v))
-    dev = v - mean
-    sigma = float(np.sqrt(np.dot(dev, dev) / v.shape[0]))
-    return ColumnStats(mean=mean, sigma=sigma, max_abs_dev=float(np.max(np.abs(dev))))
+    return ColumnStats(*(float(f[0]) for f in _moments(np.array(x, dtype=np.float64, ndmin=2))))
+
+
+def _moments(rows) -> ColumnStats:
+    """ColumnStats arrays of the C-contiguous q x d ``rows``, centred in
+    place, squares summed by :func:`_dots`' matmul stack, then made
+    absolute in place (a tile-sized copy would raise the peak memory)."""
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    sigma = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0] / rows.shape[1])
+    return ColumnStats(mean, sigma, np.abs(rows, out=rows).max(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +174,20 @@ def _dots(out, tile, d, left=None) -> None:
     the rectangle of ``np.dot(left row i, row j)``, the entries of the
     square over both sources, rows of ``left`` after those of ``tile``.
 
-    Each pair of tiles is one stack of (1 x d) @ (d x 1) matmuls, later row
-    on the left, written straight into its block of ``out`` (in the square,
-    through the transpose, above the diagonal); a tile with itself runs row
-    by row, upper triangle only, then mirrored. Each tile of the later
-    source is asked for once, each earlier one once per later one; two are
-    held at a time."""
+    Each pair of tiles, a tile with itself too, is one stack of (1 x d) @
+    (d x 1) matmuls, later row on the left, written straight into its
+    block of ``out`` (in the square, through the transpose, on and above
+    the diagonal, then mirrored: np.dot is symmetric bit for bit). Each
+    tile of the later source is asked for once, each earlier one once per
+    later one; two are held at a time."""
     p, q = out.shape
     step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
     square = left is None
     blocks = out.T if square else out
     for b in range(0, p, step):
         rb = (tile if square else left)(b, min(b + step, p))
-        if square:
-            for i in range(len(rb)):
-                np.matmul(rb[i:, None, :], rb[i, :, None],
-                          out=out[b + i, b + i:b + len(rb), None, None])
-        for a in range(0, b if square else q, step):
-            ra = tile(a, min(a + step, q))
+        for a in range(0, b + 1 if square else q, step):
+            ra = rb if square and a == b else tile(a, min(a + step, q))
             np.matmul(rb[:, None, None, :], ra[None, :, :, None],
                       out=blocks[b:b + len(rb), a:a + len(ra), None, None])
             del ra  # before the next tile is built: two at a time
@@ -197,54 +200,53 @@ def _pairwise(table, cols, labels, n=None, square=True):
     """Correlations of the columns ``cols`` of the d x p ``table``: the
     n x n matrix of the first ``n`` (all of them by default), None unless
     ``square``, the (q - n) x n rows of the rest against those n, and
-    the ColumnStats of all q. The rest are never paired among themselves.
+    the q means and sigmas. The rest are never paired among themselves.
 
-    Each column is centred and checked once, in order; errors name it by
-    ``labels``. :func:`_dots` receives the centred columns a tile at a
-    time, each rebuilt from its column and stored mean by the subtraction
-    that :func:`column_stats` made, so all q x d deviations never exist
-    at once. Entry (i, j) depends only on columns i and j, and np.dot and
-    the sigma product are symmetric in their operands, so any slice of
-    the result, in either orientation, equals the pairwise value bit for
-    bit. Only the entries computed are range-checked, by
-    ``tolerances._clamp_all``: the n x n matrix first, whose mirrored
-    entries hold the same bits and so clamp alike, then the rest's rows.
+    :func:`_moments` takes the columns a tile of :func:`_dots` at a time; the
+    first bad one in column order raises, named by ``labels``, an overflowing
+    variance before a zero one. :func:`_dots` receives the centred columns a
+    tile at a time, each rebuilt from its column and stored mean by the
+    subtraction that :func:`_moments` made, so all q x d deviations never
+    exist at once. Entry (i, j) depends only on columns i and j, and np.dot
+    and the sigma product are symmetric in their operands, so any slice of the
+    result, in either orientation, equals the pairwise value bit for bit. Only
+    the entries computed are range-checked, by ``tolerances._clamp_all``: the
+    n x n matrix first, whose mirrored entries hold the same bits and so clamp
+    alike, then the rest's rows.
     """
-    d = table.shape[0]
-    n = len(cols) if n is None else n
-    stats = []
-    for c, label in zip(cols, labels):
-        s = column_stats(table[:, c])
-        if not math.isfinite(s.sigma):
-            raise InternalNumericError(f"column {label!r} has a variance that overflows float64")
-        if s.degenerate:
-            raise ZeroVarianceColumn(label, s.sigma)
-        stats.append(s)
+    d, q = table.shape[0], len(cols)
+    n = q if n is None else n
+    step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
+    moments = np.empty((3, q))
+    for lo in range(0, q, step):
+        moments[:, lo:lo + step] = _moments(table.T[list(cols[lo:lo + step])])
+    mean, sigma, _ = stats = ColumnStats(*moments)
+    for i in np.flatnonzero(~np.isfinite(sigma) | stats.degenerate):  # the first raises
+        if not np.isfinite(sigma[i]):
+            raise InternalNumericError(f"column {labels[i]!r} has a variance that overflows float64")
+        raise ZeroVarianceColumn(labels[i], float(sigma[i]))
 
     def deviations(lo, hi, first=0):
         tile = np.empty((hi - lo, d))
-        for row, c, s in zip(tile, cols[first + lo:first + hi], stats[first + lo:first + hi]):
-            np.subtract(table[:, c], s.mean, out=row)
+        for row, c, mu in zip(tile, cols[first + lo:first + hi], mean[first + lo:first + hi]):
+            np.subtract(table[:, c], mu, out=row)
         return tile
 
-    sigma = np.array([s.sigma for s in stats])
     rx = np.empty((n, n)) if square else None
-    ry = np.empty((len(cols) - n, n))
+    ry = np.empty((q - n, n))
     if square:
         _dots(rx, deviations, d)
     _dots(ry, deviations, d, partial(deviations, first=n))
     # scale row by row in place: whole-matrix temporaries would raise
     # the peak memory
-    for block, rows in ((rx, sigma[:n]), (ry, sigma[n:])):
-        if block is not None:
-            for s, row in zip(rows, block):
-                row /= d
-                row /= s * sigma[:n]
+    for s, row in chain(zip(sigma, rx if square else ()), zip(sigma[n:], ry)):
+        row /= d
+        row /= s * sigma[:n]
     if rx is not None:
         np.fill_diagonal(rx, 1.0)
         _clamp_all(rx, -1.0, 1.0, lambda i, j: f"pearson({labels[i]!r}, {labels[j]!r})")
     _clamp_all(ry, -1.0, 1.0, lambda t, j: f"pearson({labels[j]!r}, {labels[n + t]!r})")
-    return rx, ry, stats
+    return rx, ry, mean, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +260,8 @@ class CorrelationModel(NamedTuple):
     model that serves only one-predictor subsets, whose block is [[1.0]];
     ``ry`` holds one row per responder with its correlations against every
     predictor (m x n), the only stored copy. Responders are never paired
-    with each other. Means and sigmas are kept so winners can be mapped
-    back to regression coefficients in original units.
+    with each other. Means and sigmas are kept, as float64 arrays, so
+    winners can be mapped back to regression coefficients in original units.
     """
 
     d: int
@@ -267,10 +269,10 @@ class CorrelationModel(NamedTuple):
     responders: tuple[int, ...]
     rx: np.ndarray | None
     ry: np.ndarray
-    pred_mean: tuple[float, ...]
-    pred_sigma: tuple[float, ...]
-    resp_mean: tuple[float, ...]
-    resp_sigma: tuple[float, ...]
+    pred_mean: np.ndarray
+    pred_sigma: np.ndarray
+    resp_mean: np.ndarray
+    resp_sigma: np.ndarray
 
     @property
     def n(self) -> int:
@@ -309,9 +311,8 @@ def build_correlation_model(data: ObservationMatrix, predictors, responders, *,
     """
     pred, resp = _checked_columns(data, predictors, responders)
     n = len(pred)
-    rx, ry, stats = _pairwise(data.values, pred + resp, pred + resp, n,
-                              square=k is None or k >= 2)
-    means, sigmas, _ = zip(*stats)
+    rx, ry, means, sigmas = _pairwise(data.values, pred + resp, pred + resp, n,
+                                      square=k is None or k >= 2)
     return CorrelationModel(d=data.d, predictors=pred, responders=resp, rx=rx, ry=ry,
                             pred_mean=means[:n], pred_sigma=sigmas[:n],
                             resp_mean=means[n:], resp_sigma=sigmas[n:])

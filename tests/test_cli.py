@@ -110,6 +110,18 @@ def test_ingest_nan_in_first_row_is_not_a_header(tmp_path):
         cli.ingest_csv(path)
 
 
+@pytest.mark.parametrize("header", ["Nan,b,y", "inf,x,y", "x1,Infinity,y"])
+def test_ingest_header_may_name_a_column_nan_or_inf(tmp_path, header):
+    """A first record is a header if any cell fails to parse, whatever
+    the cells before it: ``Nan,b,y`` was refused on its first cell (exit
+    5), while ``x1,Infinity,y`` read as a header."""
+    path = write_csv(tmp_path, header + "\n1,2,3\n4,5,7\n2,1,0\n")
+    for read in (ingest._ingest_fast, ingest._ingest_reference):
+        data, names = read(path)
+        assert names == header.split(",")
+        assert data.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 7.0], [2.0, 1.0, 0.0]]
+
+
 def test_ingest_too_few_rows(tmp_path):
     path = write_csv(tmp_path, "a,b\n1,2\n")
     with pytest.raises(ParseError):

@@ -280,6 +280,17 @@ def test_unknown_ordering_rejected():
             fit_multi(X, [y], ordering="c")
 
 
+def test_fit_multi_checks_its_responders():
+    """A responder of the wrong length, or none at all, is refused before
+    any work; with a predictor given, the message names only what is
+    missing."""
+    X = DesignMatrix([[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="^responder length does not match design$"):
+        fit_multi(X, [[1.0, 2.0, 3.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="^need at least one responder column$"):
+        fit_multi(X, [])
+
+
 def test_gram_products_checks_its_columns():
     """gram_products checks its column lists as the correlation model
     does: a negative index silently read the last column, and an index

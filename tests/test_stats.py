@@ -65,6 +65,12 @@ def test_pearson_hand_value():
     assert pearson([1, 2, 3], [1, 2, 2]) == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
 
 
+def test_pearson_needs_two_vectors_of_equal_length():
+    for x, y in (([1.0, 2.0, 3.0], [1.0, 2.0]), ([[1.0, 2.0]], [[2.0, 1.0]])):
+        with pytest.raises(ValueError, match="two 1-D vectors of equal length"):
+            pearson(x, y)
+
+
 def test_pearson_self_is_one():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(25)
@@ -132,6 +138,33 @@ def test_overflowing_variance_rejected(tmp_path, capsys):
     assert "column 1 " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_first_bad_column_in_column_order_raises(monkeypatch):
+    """The moments of all columns are checked at once, yet the error is
+    the first bad column's in column order, as when each was checked in
+    turn: in two-column tiles, with the two bad columns in different
+    tiles or side by side in one, whichever of an overflowing variance
+    and a zero one comes first is named."""
+    x = np.random.default_rng(5).standard_normal((20, 5))
+    x[:, 3] = 2.0
+    x[:, 4] *= 1e200
+    data = ObservationMatrix(x)
+    zero = ("column 3 has zero (or numerically negligible) variance; "
+            "Pearson correlation is undefined for it")
+    over = "column 4 has a variance that overflows float64"
+    monkeypatch.setattr(stats, "DOT_FLOATS", 2 * data.d)
+    monkeypatch.setattr(stats, "DOT_MIN_ROWS", 1)
+    for cols, error, message in (([0, 3, 1, 4], ZeroVarianceColumn, zero),
+                                 ([0, 4, 1, 3], InternalNumericError, over),
+                                 ([0, 1, 3, 4], ZeroVarianceColumn, zero),
+                                 ([0, 1, 4, 3], InternalNumericError, over)):
+        for build in (lambda: correlation_matrix(data, cols),
+                      lambda: build_correlation_model(data, cols[:1], cols[1:])):
+            with pytest.raises(error) as err:
+                build()
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
 def test_range_check_clamps_rounding_and_raises_beyond(lo, hi):
     """The one range check on correlations and squared UUCs: an overshoot
@@ -192,9 +225,11 @@ def test_correlation_matrix_submatrix_bit_identical():
 @st.composite
 def _column_picks(draw):
     """(data, columns): d from 2 to 70, so ddot's short and tail lengths
-    all come up, and a drawn order of columns with repeats, scaled and
-    shifted apart."""
-    d, p = draw(st.integers(2, 70)), draw(st.integers(1, 6))
+    all come up, or from 129 to 20,000, past numpy's 128-element
+    pairwise-sum block and its 8192-element buffer, and a drawn order of
+    columns with repeats, scaled and shifted apart."""
+    d = draw(st.one_of(st.integers(2, 70), st.integers(129, 20_000)))
+    p = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x = rng.standard_normal((d, p)) * 10.0 ** rng.uniform(-4, 4, p) + rng.uniform(-1e3, 1e3, p)
     return ObservationMatrix(x), draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=9))
@@ -206,15 +241,20 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
     """Every entry the kernel fills is np.dot of its two rows, and every
     correlation is the pairwise formula on separately centred columns,
     byte for byte, whatever the length, order and repeats, and whether
-    tiles hold 1, 2 or 3 rows or the default budget. Filled into the row
-    blocks of a wider table, as the Gram table is, the square over the
-    first rows and the rectangle of the rest against them are the
-    square's columns over those rows."""
+    tiles hold 1, 2 or 3 rows or the default budget. So are the means and
+    sigmas of the moments pass, which reads its columns as contiguous
+    rows, and ``column_stats``: np.mean, then np.dot, of each strided
+    column. Filled into the row blocks of a wider table, as the Gram
+    table is, the square over the first rows and the rectangle of the
+    rest against them are the square's columns over those rows."""
     data, cols = instance
     d, q = data.d, len(cols)
     rows = np.ascontiguousarray(data.values[:, cols].T)
-    devs = [data.column(c) - float(np.mean(data.column(c))) for c in cols]
+    mean = [float(np.mean(data.column(c))) for c in cols]
+    devs = [data.column(c) - mu for c, mu in zip(cols, mean)]
     sigma = [float(np.sqrt(np.dot(v, v) / d)) for v in devs]
+    for c, mu, s in zip(cols, mean, sigma):
+        assert np.array(column_stats(data.column(c))[:2]).tobytes() == np.array([mu, s]).tobytes()
     expected = np.ones((q, q))
     for i in range(q):
         for j in range(i + 1, q):
@@ -237,6 +277,9 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
                   lambda lo, hi: rows[h + lo:h + hi])
             assert wide.tobytes() == dots[:, :h].copy().tobytes()
             assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
+            _, _, means, sigmas = stats._pairwise(data.values, cols, cols)
+            assert means.tobytes() == np.array(mean).tobytes()
+            assert sigmas.tobytes() == np.array(sigma).tobytes()
 
 
 def test_large_sample_off_diagonals_small():
@@ -254,6 +297,8 @@ def test_observation_matrix_validation():
         ObservationMatrix([[1.0], [np.nan]])
     with pytest.raises(ValueError):
         ObservationMatrix(np.zeros((3,)))  # not 2-D
+    with pytest.raises(ValueError, match="need at least 1 variable"):
+        ObservationMatrix(np.zeros((3, 0)))
 
 
 def test_observation_matrix_read_only():
