@@ -5,12 +5,12 @@ The baseline scores a subset by actually fitting the regression: solve
 e = y - X beta and take its squared norm. The d x d projection ("hat")
 matrix is never materialised; all subset-level products are assembled by
 lookup from one Gram table, the inner products of [1; X; Y] with [1; X],
-computed once over the full data by :func:`stats._dots`, the kernel
-behind the correlation model, which takes the stacked rows as slices, a
-tile at a time. The rows are stacked once, kept with their Gram table:
-:func:`gram_products` gathers them from the table's columns for the scan
-and the op counter, and :func:`fit_multi` from the design rows and the
-responders.
+filled once over the full data by one call of :func:`stats._dots`, the
+kernel behind the correlation model, which takes the stacked rows as
+slices, a tile at a time. The rows are stacked once, kept with their
+Gram table: :func:`gram_products` gathers them from the table's columns
+for the scan and the op counter, and :func:`fit_multi` from the design
+rows and the responders.
 
 With several responders there are two schedules. Ordering A solves the
 normal equations per responder and predicts with X beta. Ordering B
@@ -92,16 +92,15 @@ def gram_products(data, predictors, responders) -> GramTables:
 
 def _gram_tables(rows, n, columns) -> GramTables:
     """GramTables over the stacked rows [1; X; Y] ``rows`` themselves, X
-    of ``n`` rows, filled as the model is: the square of [1; X], then Y
-    against it. The overflow error names row 1 + i ``columns[i]``."""
+    of ``n`` rows, filled in one call as the model is: the square of
+    [1; X] and Y against it. The overflow error names row 1 + i
+    ``columns[i]``."""
     g = np.empty((len(rows), 1 + n))
     # an entry overflows (or sums inf and -inf) only beside a squared norm
     # that overflows, which is the error below, so numpy does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], rows.shape[1])
-        _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], rows.shape[1],
-              lambda lo, hi: rows[1 + n + lo:1 + n + hi])
-        norms = np.concatenate((np.diagonal(g), [r @ r for r in rows[1 + n:]]))
+        _dots(g, lambda lo, hi: rows[lo:hi], rows.shape[1])
+        norms = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
         raise InternalNumericError(

@@ -6,8 +6,8 @@ depend on that choice; keeping one convention everywhere just makes the
 intermediate quantities comparable across modules.
 
 Every inner product, of the correlations and of the least-squares Gram
-tables alike, comes out of one kernel, :func:`_dots`, which fills the
-table it is handed, a tile with itself too, with vector-vector matmuls:
+tables alike, comes out of one kernel, :func:`_dots`, which fills each
+table in one call, a tile with itself too, with vector-vector matmuls:
 numpy hands each, like each sum of squares of :func:`_moments`, to the
 BLAS ddot that ``np.dot`` calls. So entry (i, j) depends only on rows i
 and j, and a slice of a table is bit-identical to the small table
@@ -21,8 +21,6 @@ or more predictors, the n x n predictor block, never the m x m one.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -166,34 +164,33 @@ DOT_FLOATS = 2**16
 DOT_MIN_ROWS = 16
 
 
-def _dots(out, tile, d, left=None) -> None:
-    """Fill ``out`` with ``np.dot`` of pairs of rows of length d, bit for
-    bit. ``tile(lo, hi)``, like ``left``, returns rows lo..hi-1 as a
-    C-contiguous (hi - lo) x d array. A q x q ``out`` becomes the symmetric
-    matrix over q rows of ``tile``; given ``left``, a p x q ``out`` becomes
-    the rectangle of ``np.dot(left row i, row j)``, the entries of the
-    square over both sources, rows of ``left`` after those of ``tile``.
+def _dots(out, tile, d, first=0) -> None:
+    """Fill the p x n ``out`` with ``np.dot(row first + i, row j)`` of
+    rows of length d, bit for bit. ``tile(lo, hi)`` returns rows lo..hi-1
+    as a C-contiguous (hi - lo) x d array. With ``first`` 0 the first n
+    rows of ``out`` are the symmetric square over rows 0..n-1, and any
+    rows after it the rectangle of the later rows against those n; with
+    ``first`` n, ``out`` is that rectangle alone.
 
-    Each pair of tiles, a tile with itself too, is one stack of (1 x d) @
-    (d x 1) matmuls, later row on the left, written straight into its
-    block of ``out`` (in the square, through the transpose, on and above
-    the diagonal, then mirrored: np.dot is symmetric bit for bit). Each
-    tile of the later source is asked for once, each earlier one once per
-    later one; two are held at a time."""
-    p, q = out.shape
+    Each pair of tiles, the later on the left, is one stack of (1 x d) @
+    (d x 1) matmuls written straight into its block of ``out``. In the
+    square only the pairs on and below the diagonal are computed, a tile
+    with itself filling its whole block; the square's upper triangle is
+    then mirrored from its lower one, so entry (i, j) of the square is
+    np.dot(row max(i, j), row min(i, j)) either way (np.dot is symmetric
+    bit for bit). Each later tile is asked for once, each earlier one once
+    per later one; two are held at a time."""
+    p, n = out.shape
     step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
-    square = left is None
-    blocks = out.T if square else out
-    for b in range(0, p, step):
-        rb = (tile if square else left)(b, min(b + step, p))
-        for a in range(0, b + 1 if square else q, step):
-            ra = rb if square and a == b else tile(a, min(a + step, q))
+    for b in range(first, first + p, step):
+        rb = tile(b, min(b + step, first + p))
+        for a in range(0, min(b + 1, n), step):
+            ra = rb[:n - a] if a == b else tile(a, min(a + step, n))
             np.matmul(rb[:, None, None, :], ra[None, :, :, None],
-                      out=blocks[b:b + len(rb), a:a + len(ra), None, None])
+                      out=out[b - first:b - first + len(rb), a:a + len(ra), None, None])
             del ra  # before the next tile is built: two at a time
-    if square:
-        for i in range(q):
-            out[i + 1:, i] = out[i, i + 1:]
+    for i in range(n - first):  # the square's upper triangle, if any
+        out[i, i + 1:] = out[i + 1:n, i]
 
 
 def _pairwise(table, cols, labels, n=None, square=True):
@@ -204,49 +201,51 @@ def _pairwise(table, cols, labels, n=None, square=True):
 
     :func:`_moments` takes the columns a tile of :func:`_dots` at a time; the
     first bad one in column order raises, named by ``labels``, an overflowing
-    variance before a zero one. :func:`_dots` receives the centred columns a
-    tile at a time, each rebuilt from its column and stored mean by the
-    subtraction that :func:`_moments` made, so all q x d deviations never
-    exist at once. Entry (i, j) depends only on columns i and j, and np.dot
-    and the sigma product are symmetric in their operands, so any slice of the
-    result, in either orientation, equals the pairwise value bit for bit. Only
-    the entries computed are range-checked, by ``tolerances._clamp_all``: the
-    n x n matrix first, whose mirrored entries hold the same bits and so clamp
-    alike, then the rest's rows.
+    variance before a zero one, with no numpy warning first. One :func:`_dots`
+    call fills one table, the columns from ``first`` (0, or n with no square)
+    against the first n, from centred columns a tile at a time, each rebuilt
+    from its column and stored mean by the subtraction that :func:`_moments`
+    made, so all q x d deviations never exist at once. Entry (i, j) depends
+    only on columns i and j, and np.dot and the sigma product are symmetric in
+    their operands, so any slice of the result, in either orientation, equals
+    the pairwise value bit for bit. ``tolerances._clamp_all`` range-checks the
+    entries computed in row-major order, the n x n matrix (whose mirrored
+    entries clamp alike) before the rest's rows, each named by its two
+    columns in column order.
     """
     d, q = table.shape[0], len(cols)
     n = q if n is None else n
+    first = 0 if square else n
     step = max(DOT_FLOATS // d, DOT_MIN_ROWS)
     moments = np.empty((3, q))
-    for lo in range(0, q, step):
-        moments[:, lo:lo + step] = _moments(table.T[list(cols[lo:lo + step])])
+    # a variance that overflows is the error below, so numpy does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, q, step):
+            moments[:, lo:lo + step] = _moments(table.T[list(cols[lo:lo + step])])
     mean, sigma, _ = stats = ColumnStats(*moments)
     for i in np.flatnonzero(~np.isfinite(sigma) | stats.degenerate):  # the first raises
         if not np.isfinite(sigma[i]):
             raise InternalNumericError(f"column {labels[i]!r} has a variance that overflows float64")
         raise ZeroVarianceColumn(labels[i], float(sigma[i]))
 
-    def deviations(lo, hi, first=0):
+    def deviations(lo, hi):
         tile = np.empty((hi - lo, d))
-        for row, c, mu in zip(tile, cols[first + lo:first + hi], mean[first + lo:first + hi]):
+        for row, c, mu in zip(tile, cols[lo:hi], mean[lo:hi]):
             np.subtract(table[:, c], mu, out=row)
         return tile
 
-    rx = np.empty((n, n)) if square else None
-    ry = np.empty((q - n, n))
-    if square:
-        _dots(rx, deviations, d)
-    _dots(ry, deviations, d, partial(deviations, first=n))
+    r = np.empty((q - first, n))
+    _dots(r, deviations, d, first)
     # scale row by row in place: whole-matrix temporaries would raise
     # the peak memory
-    for s, row in chain(zip(sigma, rx if square else ()), zip(sigma[n:], ry)):
+    for s, row in zip(sigma[first:], r):
         row /= d
         row /= s * sigma[:n]
-    if rx is not None:
-        np.fill_diagonal(rx, 1.0)
-        _clamp_all(rx, -1.0, 1.0, lambda i, j: f"pearson({labels[i]!r}, {labels[j]!r})")
-    _clamp_all(ry, -1.0, 1.0, lambda t, j: f"pearson({labels[j]!r}, {labels[n + t]!r})")
-    return rx, ry, mean, sigma
+    if square:
+        np.fill_diagonal(r, 1.0)  # the first n rows only: r is at least as tall
+    _clamp_all(r, -1.0, 1.0, lambda i, j: "pearson({!r}, {!r})".format(
+        *(labels[c] for c in sorted((j, first + i)))))
+    return r[:n] if square else None, r[n - first:], mean, sigma
 
 
 # ---------------------------------------------------------------------------

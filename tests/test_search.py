@@ -733,9 +733,7 @@ def _unchecked_tables(data, pred, resp):
     rows = hat._stacked([data.column(c) for c in [*pred, *resp]])
     n = len(pred)
     g = np.empty((len(rows), 1 + n))
-    _dots(g[:1 + n], lambda lo, hi: rows[lo:hi], data.d)
-    _dots(g[1 + n:], lambda lo, hi: rows[lo:hi], data.d,
-          lambda lo, hi: rows[1 + n + lo:1 + n + hi])
+    _dots(g, lambda lo, hi: rows[lo:hi], data.d)
     return hat.GramTables(d=data.d, n=n, rows=rows, g=g)
 
 

@@ -1,6 +1,7 @@
 """Column statistics and Pearson correlation layer."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,13 +116,14 @@ def test_overflowing_variance_rejected(tmp_path, capsys):
 
     y follows b closely, but b is written x1e200; with sigma_b = inf every
     correlation with b used to come out exactly 0, and select picked [a]
-    with exit 0.
+    with exit 0. No numpy overflow warning comes before the error.
     """
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(20), rng.standard_normal(20)
     table = np.column_stack([a, b * 1e200, b + 0.01 * rng.standard_normal(20)])
     data = ObservationMatrix(table)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy does not warn before the error
         with pytest.raises(InternalNumericError, match="'y'"):
             pearson(table[:, 2], table[:, 1])
         with pytest.raises(InternalNumericError, match="column 1 "):
@@ -131,20 +133,21 @@ def test_overflowing_variance_rejected(tmp_path, capsys):
     path = tmp_path / "overflow.csv"
     path.write_text("a,b,y\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in table.tolist()))
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["select", "--input", str(path), "--predictors", "a,b",
                          "--responders", "y", "--k", "1"])
     assert code == InternalNumericError.exit_code
     assert "column 1 " in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_first_bad_column_in_column_order_raises(monkeypatch):
     """The moments of all columns are checked at once, yet the error is
     the first bad column's in column order, as when each was checked in
     turn: in two-column tiles, with the two bad columns in different
     tiles or side by side in one, whichever of an overflowing variance
-    and a zero one comes first is named."""
+    and a zero one comes first is named, and numpy does not warn first."""
     x = np.random.default_rng(5).standard_normal((20, 5))
     x[:, 3] = 2.0
     x[:, 4] *= 1e200
@@ -163,6 +166,38 @@ def test_first_bad_column_in_column_order_raises(monkeypatch):
             with pytest.raises(error) as err:
                 build()
             assert str(err.value) == message
+
+
+def test_a_correlation_out_of_range_is_named_by_its_columns_in_column_order(monkeypatch):
+    """An entry of the one correlation table pushed past 1 + EPS_NUM
+    raises, named by its two columns in the order of the columns asked
+    for, whichever triangle of the square holds it and whether the model
+    has the predictor square (k = 2) or only the responder rows (k = 1).
+    Predictors (3, 1) and responders (0, 2) give the rows 3, 1, 0, 2."""
+    data = synthetic_observations(30, 4, seed=5)
+    dots = stats._dots
+
+    def pushing(row, j):
+        def fill(out, tile, d, first=0):
+            dots(out, tile, d, first)
+            out[row - first, j] = 1e300
+        return fill
+
+    cases = [(row, j, k, name) for k in (2, None) for row, j, name in
+             ((0, 1, "pearson(3, 1)"), (1, 0, "pearson(3, 1)"))]
+    cases += [(row, j, k, name) for k in (2, 1) for row, j, name in
+              ((3, 0, "pearson(3, 2)"), (2, 1, "pearson(1, 0)"))]
+    for row, j, k, name in cases:
+        monkeypatch.setattr(stats, "_dots", pushing(row, j))
+        with pytest.raises(InternalNumericError) as err:
+            build_correlation_model(data, [3, 1], [0, 2], k=k)
+        what, rest = str(err.value).split(" = ")
+        assert what == name and rest.endswith(" is outside [-1.0, 1.0] beyond tolerance")
+        assert float(rest.split()[0]) > 1.0 + EPS_NUM
+    for row, j in ((0, 1), (1, 0)):
+        monkeypatch.setattr(stats, "_dots", pushing(row, j))
+        with pytest.raises(InternalNumericError, match=r"^pearson\('x', 'y'\) = "):
+            pearson(data.column(0), data.column(1))
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
@@ -244,9 +279,11 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
     tiles hold 1, 2 or 3 rows or the default budget. So are the means and
     sigmas of the moments pass, which reads its columns as contiguous
     rows, and ``column_stats``: np.mean, then np.dot, of each strided
-    column. Filled into the row blocks of a wider table, as the Gram
-    table is, the square over the first rows and the rectangle of the
-    rest against them are the square's columns over those rows."""
+    column. Filled as one table of all rows against the first, as the
+    Gram table is, the square over the first rows and the rest's rows
+    against them are the square's columns over those rows; the rest's
+    rows alone, as the one-predictor model fills them, are the square's
+    block below them."""
     data, cols = instance
     d, q = data.d, len(cols)
     rows = np.ascontiguousarray(data.values[:, cols].T)
@@ -272,10 +309,11 @@ def test_inner_product_kernel_is_pairwise_np_dot(instance):
                     assert dots[i, j] == float(np.dot(rows[i], rows[j]))
             h = q // 2
             wide = np.full((q, h), np.nan)
-            _dots(wide[:h], lambda lo, hi: rows[lo:hi], d)
-            _dots(wide[h:], lambda lo, hi: rows[lo:hi], d,
-                  lambda lo, hi: rows[h + lo:h + hi])
+            _dots(wide, lambda lo, hi: rows[lo:hi], d)
             assert wide.tobytes() == dots[:, :h].copy().tobytes()
+            rest = np.full((q - h, h), np.nan)
+            _dots(rest, lambda lo, hi: rows[lo:hi], d, h)
+            assert rest.tobytes() == dots[h:, :h].copy().tobytes()
             assert correlation_matrix(data, cols).tobytes() == expected.tobytes()
             _, _, means, sigmas = stats._pairwise(data.values, cols, cols)
             assert means.tobytes() == np.array(mean).tobytes()
