@@ -80,10 +80,10 @@ def gram_products(data, predictors, responders) -> GramTables:
     with [1; X], with numpy.
 
     This is the one-time global pass; everything after it assembles
-    subset-level matrices purely by lookup. The columns are checked as
-    :func:`stats.build_correlation_model` checks them, and a column whose
-    squared norm overflows float64 raises InternalNumericError: every
-    subset holding it would score NaN.
+    subset-level matrices purely by lookup. It checks the column indices,
+    and raises InternalNumericError for a column whose squared norm
+    overflows float64 (every subset holding it would score NaN); nothing
+    else, so a constant column passes.
     """
     pred, resp = _checked_columns(data, predictors, responders)
     columns = pred + resp

@@ -68,9 +68,12 @@ def enumerate_subsets(n: int, k: int):
 def slice_correlations(model: CorrelationModel, subset, responder: int):
     """One subset's predictor block and responder vector (rx, rho), fresh
     nested lists straight out of the model, so bit-identical to pairwise
-    correlations of the raw columns; [[1.0]] for a model without ``rx``.
+    correlations of the raw columns; a model built for k = 1 has no ``rx``,
+    so it gives [[1.0]] for one predictor and raises ValueError for more.
     The per-responder reference of :func:`select_best`'s block solve."""
     idx = list(subset)
+    if model.rx is None and len(idx) > 1:
+        raise ValueError(f"a model built for k = 1 has no rx for a {len(idx)}-subset")
     rx = [[1.0]] if model.rx is None else model.rx[np.ix_(idx, idx)].tolist()
     return rx, model.ry[responder, idx].tolist()
 
@@ -125,15 +128,16 @@ def _argmin(blocks, m):
     """Reduce a stream of scored blocks into the m per-responder windows.
 
     Each block is (subsets, scores): b x k admissible subsets and their
-    b x m omega^2, every skipped subset already left out, so a scan's
-    skip count is C(n, k) minus the ``scored`` returned with the windows.
-    Only leaves within TIE_EPS of their responder's running minimum, over
-    this block and every one before it, are handed on. A score above it
-    is above the final minimum plus TIE_EPS, so it can never win, nor can
-    anything it would dominate: every possible winner is handed on, and
-    the lexicographic tie-break stays exact across blocks. A NaN score is
-    never handed on: it could not win a window anyway, unless it came
-    first, where it would leave no winner at all. Returns (windows, scored).
+    b x m omega^2, every skipped subset already left out, so a scan's skip
+    count is C(n, k) minus the ``scored`` returned with the windows. A block
+    from any scan may be empty, and is skipped. Only leaves within TIE_EPS
+    of their responder's running minimum, over this block and every one
+    before it, are handed on. A score above it is above the final minimum
+    plus TIE_EPS, so it can never win, nor can anything it would dominate:
+    every possible winner is handed on, and the lexicographic tie-break
+    stays exact across blocks. A NaN score is never handed on: it could not
+    win a window anyway, unless it came first, where it would leave no
+    winner at all. Returns (windows, scored).
     """
     windows = [ArgminWindow() for _ in range(m)]
     scored = 0
@@ -175,18 +179,19 @@ def _tree_blocks(rx, ry, k):
     Extending S by c costs O(j (n + m)): with ``g = u[:, c] * dinv`` the
     Schur pivot is ``1 - g . u[:, c]``, the new v row ``rho_c - g . v`` and
     omega drops by its square over the pivot. A pivot ``gauss._collinear``
-    rejects skips the extension and every subset below it. A child's
-    state is written once, into arrays of the child's block: its parent's
-    rows are copied into the first j rows, one row index at a time, and
-    the new row is computed from them into row j. While the walk descends,
-    a level holds just that state, so the walk's working set is the sum of
-    one block's state per level. A leaf block reads its parents' v rows,
-    and an inner block the rows ``rx[c]``, ``stats.DOT_FLOATS`` floats at
-    a time, the inner-product kernel's budget; a leaf block keeps only its
-    subsets and omega^2 (``rx`` is never read at k = 1, so it may be None
-    there); those outside [0, 1] go through the shared table clamp,
-    ``tolerances._clamp_all``, before a leaf block is yielded, so perfect
-    fits tie at 0.0 in :func:`_argmin`.
+    rejects skips the extension and every subset below it, so a block may be
+    empty: nothing is walked below it, and an empty leaf block is yielded
+    for :func:`_argmin` to skip. A child's state is written once, into
+    arrays of the child's block: its parent's rows are copied into the first
+    j rows, one row index at a time, and the new row is computed from them
+    into row j. While the walk descends, a level holds just that state, so
+    the walk's working set is the sum of one block's state per level. A leaf
+    block reads its parents' v rows, and an inner block the rows ``rx[c]``,
+    ``stats.DOT_FLOATS`` floats at a time, the inner-product kernel's
+    budget; a leaf block keeps only its subsets and omega^2 (``rx`` is never
+    read at k = 1, so it may be None there); those outside [0, 1] go through
+    the shared table clamp, ``tolerances._clamp_all``, before a leaf block
+    is yielded, so perfect fits tie at 0.0 in :func:`_argmin`.
     """
     m, n = ry.shape
     rho = np.ascontiguousarray(ry.T)
@@ -196,7 +201,7 @@ def _tree_blocks(rx, ry, k):
         # children of each parent and those before it, and a parent's
         # last child is column n - k + j. Returns the admissible ones, as
         # (subsets, omega) at the leaves and with their u, v and dinv
-        # above them, or None if there are none.
+        # above them; the block is empty if none is admissible.
         j = subsets.shape[1]
         p = np.searchsorted(ends, i, side="right")
         c = i + (n - k + j + 1) - ends[p]
@@ -207,36 +212,31 @@ def _tree_blocks(rx, ry, k):
         if not ok.all():
             p, c, g, pivot = p[ok], c[ok], g[ok], pivot[ok]
         b = len(p)
-        if not b:
-            return None
         child = np.empty((b, j + 1), dtype=np.intp)
         child[:, :j] = subsets[p]
         child[:, j] = c
-        leaf = j + 1 == k
-        if leaf:
-            # the parents' v rows of a few leaves at a time
+        if j + 1 == k:  # the parents' v rows of a few leaves at a time
             vc = np.empty((b, m))
-            step = max(DOT_FLOATS // (j * m), 1) if j else b
+            step = max(DOT_FLOATS // (max(j, 1) * m), 1)
             for lo in range(0, b, step):
                 s = slice(lo, lo + step)
                 np.einsum("ij,ijt->it", g[s], v[p[s]], out=vc[s])
-        else:
-            cv = np.empty((b, j + 1, m))
-            for r in range(j):
-                cv[:, r] = v[p, r]
-            vc = cv[:, j]
-            np.einsum("ij,ijt->it", g, cv[:, :j], out=vc)
-        np.subtract(rho[c], vc, out=vc)
-        # a leaf's new v row is not kept: its omega^2 overwrites it
-        child_omega = np.multiply(vc, vc, out=vc if leaf else None)
-        child_omega /= pivot[:, None]
-        np.subtract(omega[p], child_omega, out=child_omega)
-        if leaf:
-            _clamp_all(child_omega, 0.0, 1.0, lambda i, t: "conditional_uuc")
-            return child, child_omega
+            np.subtract(rho[c], vc, out=vc)
+            np.multiply(vc, vc, out=vc)  # a leaf keeps omega^2, not its v row
+            vc /= pivot[:, None]
+            np.subtract(omega[p], vc, out=vc)
+            _clamp_all(vc, 0.0, 1.0, lambda i, t: "conditional_uuc")
+            return child, vc
         cu = np.empty((b, j + 1, n))
+        cv = np.empty((b, j + 1, m))
         for r in range(j):
             cu[:, r] = u[p, r]
+            cv[:, r] = v[p, r]
+        np.einsum("ij,ijt->it", g, cv[:, :j], out=cv[:, j])
+        vc = np.subtract(rho[c], cv[:, j], out=cv[:, j])
+        child_omega = np.multiply(vc, vc)
+        child_omega /= pivot[:, None]
+        np.subtract(omega[p], child_omega, out=child_omega)
         np.einsum("ij,ijq->iq", g, cu[:, :j], out=cu[:, j])
         step = max(DOT_FLOATS // n, 1)
         for lo in range(0, b, step):  # the rows rx[c] a few at a time
@@ -249,19 +249,16 @@ def _tree_blocks(rx, ry, k):
 
     def extend(subsets, u, v, dinv, omega):
         j = subsets.shape[1]
-        last = subsets[:, -1] if j else np.full(len(subsets), -1)
         # children c of S run from max(S) + 1 to the largest column that
         # still leaves room for the k - j - 1 columns after it
-        ends = np.cumsum(n - k + j - last)
+        ends = np.cumsum(n - k + j - (subsets[:, -1] if j else -1))
         total = int(ends[-1])
         for lo in range(0, total, BLOCK):
             block = children(subsets, u, v, dinv, omega, ends,
                              np.arange(lo, min(lo + BLOCK, total)))
-            if block is None:
-                continue
             if j + 1 == k:
                 yield block
-            else:
+            elif len(block[0]):  # nothing to walk below an empty block
                 yield from extend(*block)
             # the next block's state is built only after this one is freed
             del block

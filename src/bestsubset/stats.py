@@ -104,11 +104,13 @@ class ColumnStats(NamedTuple):
 
 
 def column_stats(x) -> ColumnStats:
-    """Mean and standard deviation of a vector, dividing by d (not d-1).
+    """Mean and standard deviation of a 1-D vector, dividing by d (not d-1).
 
     A constant column yields sigma exactly 0; no error is raised here.
     Callers that need a correlation decide whether that is fatal.
     """
+    if np.ndim(x) != 1:
+        raise ValueError("column_stats expects a 1-D vector")
     return ColumnStats(*(float(f[0]) for f in _moments(np.array(x, dtype=np.float64, ndmin=2))))
 
 

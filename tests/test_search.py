@@ -68,6 +68,17 @@ def test_slice_is_bit_identical_to_raw_pearson():
         assert rho[a] == pearson(data.column(resp[1]), data.column(pred[i]))
 
 
+def test_slice_of_a_k1_model_needs_one_predictor():
+    """A model built for k = 1 keeps no rx: a one-predictor subset still
+    gets [[1.0]] beside its one correlation, and a larger subset raises
+    rather than return [[1.0]] beside a rho over all its columns."""
+    model = build_correlation_model(synthetic_observations(30, 5, seed=0), range(4), [4], k=1)
+    assert model.rx is None
+    assert slice_correlations(model, (2,), 0) == ([[1.0]], [model.ry[0, 2]])
+    with pytest.raises(ValueError, match="built for k = 1"):
+        slice_correlations(model, (0, 2), 0)
+
+
 # ---------------------------------------------------------------------------
 # tie window
 # ---------------------------------------------------------------------------

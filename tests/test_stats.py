@@ -61,6 +61,14 @@ def test_column_stats_constant_column_no_error():
     assert s.degenerate
 
 
+def test_column_stats_needs_one_vector():
+    """A table or a scalar is not a column: neither yields the moments of
+    some row of it."""
+    for x in ([[1.0, 2.0], [3.0, 5.0]], 4.0):
+        with pytest.raises(ValueError, match="1-D vector"):
+            column_stats(x)
+
+
 def test_pearson_hand_value():
     """pearson((1,2,3),(1,2,2)) works out to sqrt(3)/2 by hand."""
     assert pearson([1, 2, 3], [1, 2, 2]) == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
