@@ -1,18 +1,21 @@
 """CSV ingest: one table of observations, with its column names.
 
-:func:`ingest_csv` is the one entry point. It reads the first record by
-``csv.reader``, as the reference reads it, and the data rows by numpy's C
-parser (``np.loadtxt``), streamed from the file. Every cell it parses,
-``float`` parses to the same double, so a file it accepts gets the
+:func:`ingest_csv` is the one entry point. It reads the first non-blank
+record by ``csv.reader``, as the reference reads it, over the file's lines
+pulled one at a time, and that record ends after the bytes of the lines
+the reader pulled (see :func:`_first_record`). The data rows are read by
+numpy's C parser (``np.loadtxt``), streamed from the file. Every cell it
+parses, ``float`` parses to the same double, so a file it accepts gets the
 reference parser's values.
 
 A file of at least twice ``PARSE_PART_BYTES`` is cut into byte ranges, at
 most one per available CPU and one per ``PARSE_PART_BYTES``, each ending
-on a line feed after the first record (see :func:`_cuts`); a file whose
-first line holds a ``"``, or that has no line feed, is read as one range.
-The first range is read as above; each later one by ``np.loadtxt`` in a
-forked child, whose rows are read into the same array, grown in place, so
-the table is still held once.
+on a line feed after the first record (see :func:`_cuts`); a file with no
+line feed after its first record is read as one range. Every range is
+read by ``np.loadtxt`` as UTF-8: the first here, from the byte after the
+first record, or after a leading BOM when that record is data; each later
+one in a forked child, whose rows are read into the same array, grown in
+place, so the table is still held once.
 
 Every failure has one policy: the whole file is handed to the per-cell
 reference parser, :func:`_ingest_reference`, whenever the fast path cannot
@@ -103,35 +106,29 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity is not None else 1
 
 
-def _cuts(fh):
-    """Offsets ``[0, c1, ..., size]`` cutting the file into byte ranges of
-    about equal size, at most one per available CPU and one per
-    ``PARSE_PART_BYTES``; each range but the last ends just after a line
-    feed.
+def _first_record(fh, start):
+    """The first non-blank record ``csv.reader`` reads from the text
+    ``fh``, which begins at byte ``start``, or None; and the offset of the
+    byte after it: ``start`` plus the encoded lengths of the lines the
+    reader pulled (after a CR, ``fh.tell()`` is a decoder cookie, not an
+    offset)."""
+    def lines():
+        nonlocal start
+        for line in fh:
+            start += len(line.encode())
+            yield line
+    return next(filter(None, csv.reader(lines())), None), start
 
-    Every cut lies after a line feed found after the first one, and the
-    file is not cut at all unless the bytes before that first line feed
-    hold a record and no quote: so the first record, which the reference
-    reads with ``csv.reader``, lies whole in the first range.
-    """
-    size = os.fstat(fh.fileno()).st_size
+
+def _cuts(fh, start, size):
+    """Offsets ``[start, c1, ..., size]`` cutting the file's bytes into
+    ranges of about equal size, at most one per available CPU and one per
+    ``PARSE_PART_BYTES``: each cut lies just after a line feed at or after
+    byte ``start``, which ends the first record."""
     parts = min(_cpus(), size // PARSE_PART_BYTES)
-    if parts < 2:
-        return [0, size]
-    lf, record = 0, False  # the first line feed's offset; a record before it
-    while chunk := fh.read(1 << 16):
-        line = chunk.partition(b"\n")[0]
-        if b'"' in line:
-            return [0, size]
-        record = record or bool(line.removeprefix(b"\xef\xbb\xbf").strip(b"\r"))
-        lf += len(line)
-        if len(line) < len(chunk):
-            break
-    if not chunk or not record:
-        return [0, size]
-    cuts = [0]
+    cuts = [start]
     for i in range(1, parts):
-        pos = max(size * i // parts - 1, lf + 1)
+        pos = max(size * i // parts - 1, start)
         fh.seek(pos)
         while (chunk := fh.read(1 << 16)) and b"\n" not in chunk:
             pos += len(chunk)  # a line longer than the chunk
@@ -231,24 +228,25 @@ def _ingest_fast(path: str):
     children = {}  # pid -> buffered read end of its pipe, in range order
     try:
         with open(path, "rb") as fh:
-            cuts = _cuts(fh)
-        for start, end in zip(cuts[1:-1], cuts[2:]):
-            try:
-                pid, pipe = _fork_parser(path, start, end)
-            except OSError:  # no pipe or process to be had
-                return None
-            children[pid] = pipe
-        with _open_range(path, 0, cuts[1], "utf-8-sig") as fh:
-            # the reference's first record; numpy reads on from the handle
-            first = next(filter(None, csv.reader(fh)), None)
+            size = os.fstat(fh.fileno()).st_size
+            start = 3 if fh.read(3) == b"\xef\xbb\xbf" else 0  # after a BOM
+            with _open_range(path, start, size, "utf-8") as text:
+                first, end = _first_record(text, start)
             if first is None:
                 return None
             try:
                 names = _header(first)
             except NonFiniteValueError:
                 return None
-            if names is None:
-                fh.seek(0)  # the first record is data: numpy reads it too
+            cuts = _cuts(fh, end, size)
+        for begin, stop in zip(cuts[1:-1], cuts[2:]):
+            try:
+                pid, pipe = _fork_parser(path, begin, stop)
+            except OSError:  # no pipe or process to be had
+                return None
+            children[pid] = pipe
+        # numpy reads the first record too when it is data
+        with _open_range(path, start if names is None else end, cuts[1], "utf-8") as fh:
             values = _loadtxt(fh)
         if values.shape[0] and values.shape[1] != len(first):
             return None

@@ -111,6 +111,8 @@ def column_stats(x) -> ColumnStats:
     """
     if np.ndim(x) != 1:
         raise ValueError("column_stats expects a 1-D vector")
+    if not np.size(x):
+        raise ValueError("column_stats got an empty vector")
     return ColumnStats(*(float(f[0]) for f in _moments(np.array(x, dtype=np.float64, ndmin=2))))
 
 
@@ -143,6 +145,8 @@ def pearson(x, y) -> float:
     yv = np.asarray(y, dtype=np.float64)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise ValueError("pearson expects two 1-D vectors of equal length")
+    if not xv.size:
+        raise ValueError("pearson got two empty vectors")
     return float(_pairwise(np.column_stack((xv, yv)), [0, 1], ["x", "y"])[0][0, 1])
 
 

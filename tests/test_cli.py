@@ -265,6 +265,14 @@ _INGEST_EXAMPLES = (
     "a,b\n1,2\n3,4\n5,6\n1_000,8\n",
     "a,b\n1,2\n3,4\n5,6\n7\n",
     "\ufeffa,b\n1,2\n3,4\n5,6\n",
+    # quoted headers: the reader's first record ends where it stopped
+    '"a\nb",c\n1,2\n3,4\n5,6\n',
+    '\ufeff"a","b"\n1,2\n3,4\n5,6\n',
+    '"a","b"\r\n1,2\r\n3,4\r\n5,6\r\n',
+    '\n\r\n"a","b"\n1,2\n3,4\n5,6\n',
+    # a stray quote opens a cell that runs on over the following lines
+    'a"b,"c\n1,2\n3,4\n',
+    'a"b,"c\n1",2\n3,4,5\n6,7,8\n9,10,11\n',
 )
 
 
@@ -358,10 +366,10 @@ def test_a_parser_that_ended_early_hands_over(stream):
         ingest._append(np.zeros((1, 2)), 2, io.BytesIO(stream))
 
 
-# a quoted header is never cut after, so only the plain header splits
-@pytest.mark.parametrize("quote, parts", [("", 1), ('"', 1), ("", 2)],
-                         ids=["plain", "quoted", "plain-split"])
-def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote, parts):
+# a quoted header is cut after as a plain one is
+@pytest.mark.parametrize("quote, parts", [("", 1), ('"', 1), ("", 2), ('"', 2)],
+                         ids=["plain", "quoted", "plain-split", "quoted-split"])
+def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, monkeypatch, quote, parts):
     rng = np.random.default_rng(7)
     table = (rng.standard_normal((2000, 302)) * 10.0 ** rng.uniform(-1, 2, 302)
              + rng.uniform(-1e3, 1e3, 302))
@@ -370,15 +378,18 @@ def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, quote, parts):
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
     path = write_csv(tmp_path, "\n".join(lines) + "\n")
     del lines
+    forks = []
+    fork_parser = ingest._fork_parser
+    monkeypatch.setattr(ingest, "_fork_parser",
+                        lambda *args: forks.append(args) or fork_parser(*args))
     with _ranges(parts):
-        with open(path, "rb") as fh:
-            assert len(ingest._cuts(fh)) == parts + 1  # 11 MB: a range per CPU
         tracemalloc.start()
         try:
             data, names = cli.ingest_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert len(forks) == parts - 1  # 11 MB: a range per CPU
     ref, ref_names = ingest._ingest_reference(path)
     assert data.values.tobytes() == ref.values.tobytes() == table.tobytes()
     assert names == ref_names == [f"x{j}" for j in range(300)] + ["y0", "y1"]

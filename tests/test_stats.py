@@ -69,6 +69,22 @@ def test_column_stats_needs_one_vector():
             column_stats(x)
 
 
+def test_column_stats_refuses_an_empty_vector_by_name():
+    """It raised numpy's reduction error after two RuntimeWarnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty vector"):
+            column_stats([])
+
+
+def test_pearson_refuses_empty_vectors_by_name():
+    """It raised ZeroDivisionError from the tile-size division."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty vectors"):
+            pearson([], [])
+
+
 def test_pearson_hand_value():
     """pearson((1,2,3),(1,2,2)) works out to sqrt(3)/2 by hand."""
     assert pearson([1, 2, 3], [1, 2, 2]) == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
