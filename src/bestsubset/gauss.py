@@ -88,25 +88,32 @@ def factor_symmetric(a, n):
 
 
 def forward_apply(mult, b, n):
-    """Apply the stored elimination multipliers to a right hand side, in place."""
+    """Apply the stored elimination multipliers to a right hand side.
+
+    Consumes ``b``: each entry is updated in place (``-=``), so an entry
+    that is a numpy array, or a view into one, is overwritten.
+    """
     for i in range(n - 1):
         bi = b[i]
         row = mult[i]
         for j in range(i + 1, n):
-            b[j] = b[j] - row[j] * bi
+            b[j] -= row[j] * bi
 
 
 def back_substitute(u, recips, b, n):
-    """Solve U x = b given the triangular factor and stored pivot reciprocals."""
-    x = [None] * n
-    x[n - 1] = b[n - 1] * recips[n - 1]
+    """Solve U x = b given the triangular factor and stored pivot reciprocals.
+
+    Consumes ``b``: x is formed in its entries in place (``-=`` and
+    ``*=``) and ``b`` itself is returned, with the operations, and their
+    order, of a solve into a fresh x.
+    """
+    b[n - 1] *= recips[n - 1]
     for i in range(n - 2, -1, -1):
-        s = b[i]
         row = u[i]
         for j in range(i + 1, n):
-            s = s - row[j] * x[j]
-        x[i] = s * recips[i]
-    return x
+            b[i] -= row[j] * b[j]
+        b[i] *= recips[i]
+    return b
 
 
 def solve_symmetric(a, b):

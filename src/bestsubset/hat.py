@@ -25,8 +25,13 @@ It runs the scalar fits' operations in their order, elementwise across
 the block, so its sums of squares are :func:`scan_fit_a`'s and
 :func:`scan_fit_b`'s bit for bit; those remain only as the tests'
 reference and a per-subset timing probe, as the op counter counts the
-block kernel. :func:`_winners_betas` solves the scan's winners on its
-tables, and :func:`fit_multi`'s subset: no other module indexes a Gram table.
+block kernel. A scan allocates one :func:`_scratch` for its largest block
+and every block writes into it: the columns are taken into it, the
+solves run in place, each prediction term is a product into it added
+in place, and :func:`_sse` sums the squares over d row after row, as
+the scalar pass does. :func:`_winners_betas` solves the scan's winners
+on its tables, and :func:`fit_multi`'s subset: no other module indexes a
+Gram table.
 """
 
 from __future__ import annotations
@@ -124,61 +129,99 @@ def assemble_xty(tables: GramTables, subset, t):
 # the block kernel
 # ---------------------------------------------------------------------------
 
-def _residual_block(tables, subsets, method):
+def _scratch(tables, b, k):
+    """One scan's working arrays for blocks of up to ``b`` k-subsets, flat,
+    in ``tables.rows.dtype``: the selected columns [1; X_S], the
+    prediction (then the residuals) and one product temporary, whose
+    space the squared residuals reuse. Every block of the scan writes its
+    part of each, and the arrays go with the scan."""
+    m, size = len(tables.rows) - 1 - tables.n, b * tables.d
+    return tuple(np.empty(s, dtype=tables.rows.dtype)
+                 for s in ((k + 1) * size, m * size, m * size))
+
+
+def _part(flat, *shape):
+    """The leading, contiguous part of ``flat`` seen as ``shape``."""
+    return flat[:np.prod(shape)].reshape(shape)
+
+
+def _residual_block(tables, subsets, method, scratch):
     """Least-squares residuals of one block of subsets, per responder.
 
-    ``method`` is "hat-a" or "hat-b". Returns the b x m x d residuals and
-    the b-mask of subsets whose normal matrix breaks the collinearity rule
-    (their residuals mean nothing). The normal matrices and X^T y (the
-    responders' rows of ``tables.g``) are one fancy index each into it,
-    the columns one into ``tables.rows``; every later step is the scalar
+    ``method`` is "hat-a" or "hat-b", ``scratch`` a :func:`_scratch` for
+    at least this block. Returns the b x m x d residuals, a view of the
+    scratch that the next block overwrites, and the b-mask of subsets
+    whose normal matrix breaks the collinearity rule (their residuals
+    mean nothing). The normal matrices and X^T y (the responders' rows of
+    ``tables.g``) are one fancy index each into it, the columns one
+    ``np.take`` from ``tables.rows``; every later step is the scalar
     fit's own operation, in its order: the elimination and solves are
     ``gauss._eliminate``, ``forward_apply`` and ``back_substitute``
-    themselves, run on the block, and each prediction sums its k + 1
-    products from zero.
+    themselves, run on the block in place, and each prediction sums its
+    k + 1 products from zero.
     """
     b, k = subsets.shape
     q, d, n, rows = k + 1, tables.d, tables.n, tables.rows
+    m = len(rows) - 1 - n
     # q x b positions in ``rows``: the all-ones row, then the subset
     pos = np.concatenate((np.zeros((1, b), dtype=np.intp), subsets.T + 1))
     y = rows[1 + n:]
     # entry (i, j) of the normal matrix is a b x 1 column, so it
     # broadcasts against the b x m and b x d right hand sides
     a = tables.g[pos[:, None, :], pos[None, :, :], None]
-    xty = list(tables.g[1 + n + np.arange(len(y)), pos[:, :, None]])
-    cols = list(rows[pos])
-    # skipped subsets divide by tiny pivots, and Python floats overflow
-    # to inf and NaN without a warning: the block runs as silently
-    with np.errstate(all="ignore"):
-        mult, recips, singular = _eliminate(a, q, q)  # factor_symmetric's pivots
-        if method == "hat-a":
-            forward_apply(mult, xty, q)
-            basis, vec = cols, back_substitute(a, recips, xty, q)
-        else:
-            forward_apply(mult, cols, q)
-            basis, vec = back_substitute(a, recips, cols, q), xty
-        acc = np.zeros((b, len(y), d), dtype=rows.dtype)
-        for j in range(q):
-            acc += basis[j][:, None, :] * vec[j][:, :, None]
-        np.subtract(y, acc, out=acc)
+    xty = list(tables.g[1 + n + np.arange(m), pos[:, :, None]])
+    # positions are in range, and mode "raise" would gather into a temporary first
+    cols = list(np.take(rows, pos, axis=0, out=_part(scratch[0], q, b, d), mode="clip"))
+    acc, tmp = _part(scratch[1], b, m, d), _part(scratch[2], b, m, d)
+    # numpy copies a broadcast operand into its ufunc buffer to lengthen
+    # inner loops shorter than the buffer, which made the products 3-4x
+    # slower at d = 1000; its smallest buffer leaves the rows in place
+    size = np.setbufsize(16)
+    try:
+        # skipped subsets divide by tiny pivots, and Python floats overflow
+        # to inf and NaN without a warning: the block runs as silently
+        with np.errstate(all="ignore"):
+            mult, recips, singular = _eliminate(a, q, q)  # factor_symmetric's pivots
+            if method == "hat-a":
+                forward_apply(mult, xty, q)
+                basis, vec = cols, back_substitute(a, recips, xty, q)
+            else:
+                forward_apply(mult, cols, q)
+                basis, vec = back_substitute(a, recips, cols, q), xty
+            for j in range(q):
+                np.multiply(basis[j][:, None, :], vec[j][:, :, None], out=tmp)
+                if j:
+                    acc += tmp
+                else:
+                    np.add(0.0, tmp, out=acc)
+            np.subtract(y, acc, out=acc)
+    finally:
+        np.setbufsize(size)
     return acc, singular.ravel()
 
 
-def _sse(residuals):
-    """The b x m sums of squares of b x m x d ``residuals``, overwritten,
-    summed along d in order by ``np.add.accumulate`` as the scalar pass does."""
+def _sse(residuals, scratch):
+    """The b x m sums of squares of b x m x d ``residuals``, overwritten by
+    their squares. Those are copied to the scratch's product space as d
+    rows of b m, and ``np.add.reduce`` adds the rows one after another, in
+    the order of the scalar pass (numpy sums pairwise only along the fast
+    axis, which is why a lone column is accumulated instead)."""
+    b, m, d = residuals.shape
+    squares = _part(scratch[2], d, b * m)
     with np.errstate(all="ignore"):
         np.multiply(residuals, residuals, out=residuals)
-        np.add.accumulate(residuals, axis=2, out=residuals)
-    return residuals[:, :, -1]
+        squares[...] = residuals.reshape(b * m, d).T
+        sums = np.add.accumulate(squares[:, 0])[-1:] if b * m == 1 else np.add.reduce(squares)
+    return sums.reshape(b, m)
 
 
-def _lsq_block(tables, subsets, method, sigma_sq):
+def _lsq_block(tables, subsets, method, sigma_sq, scratch):
     """The ``hat-*`` scan's b x m scores, SSE over d and over the
-    responders' variances ``sigma_sq`` (omega^2), and singular mask."""
-    residuals, singular = _residual_block(tables, subsets, method)
+    responders' variances ``sigma_sq`` (omega^2), and singular mask, in
+    ``scratch``."""
+    residuals, singular = _residual_block(tables, subsets, method, scratch)
     with np.errstate(all="ignore"):
-        return _sse(residuals) / tables.d / sigma_sq, singular
+        return _sse(residuals, scratch) / tables.d / sigma_sq, singular
 
 
 def _winners_betas(tables, s):
@@ -323,9 +366,10 @@ def fit_multi(X: DesignMatrix, ys, ordering: str = "a") -> list[FitResult]:
     # the block divides by a collinear pivot before it raises, unwarned
     with np.errstate(all="ignore"):
         betas = np.array(_winners_betas(tables, subset[:, None])).T.tolist()
-    residuals, _ = _residual_block(tables, subset[None, :], "hat-" + ordering)
+    scratch = _scratch(tables, 1, X.k)
+    residuals, _ = _residual_block(tables, subset[None, :], "hat-" + ordering, scratch)
     res = residuals[0].tolist()
-    sses = _sse(residuals)[0].tolist()
+    sses = _sse(residuals, scratch)[0].tolist()
     return [FitResult(beta=tuple(betas[t]), residual=tuple(res[t]), sse=sses[t],
                       mse=sses[t] / X.d)
             for t in range(len(ys))]

@@ -10,8 +10,8 @@ reference parser's values.
 
 A file of at least twice ``PARSE_PART_BYTES`` is cut into byte ranges, at
 most one per available CPU and one per ``PARSE_PART_BYTES``, each ending
-on a line feed after the first record (see :func:`_cuts`); a file with no
-line feed after its first record is read as one range. Every range is
+at a line end after the first record (see :func:`_cuts`); a file with no
+line end after its first record is read as one range. Every range is
 read by ``np.loadtxt`` as UTF-8: the first here, from the byte after the
 first record, or after a leading BOM when that record is data; each later
 one in a forked child, whose rows are read into the same array, grown in
@@ -36,6 +36,7 @@ import csv
 import io
 import math
 import os
+import re
 import signal
 import warnings
 
@@ -123,18 +124,21 @@ def _first_record(fh, start):
 def _cuts(fh, start, size):
     """Offsets ``[start, c1, ..., size]`` cutting the file's bytes into
     ranges of about equal size, at most one per available CPU and one per
-    ``PARSE_PART_BYTES``: each cut lies just after a line feed at or after
-    byte ``start``, which ends the first record."""
+    ``PARSE_PART_BYTES``: each cut lies just after a line end (a line
+    feed, or a carriage return no line feed follows) at or after byte
+    ``start``, which ends the first record."""
     parts = min(_cpus(), size // PARSE_PART_BYTES)
     cuts = [start]
     for i in range(1, parts):
         pos = max(size * i // parts - 1, start)
         fh.seek(pos)
-        while (chunk := fh.read(1 << 16)) and b"\n" not in chunk:
+        while (chunk := fh.read(1 << 16)) and not (end := re.search(rb"\r\n?|\n", chunk)):
             pos += len(chunk)  # a line longer than the chunk
         if not chunk:
             break
-        cut = pos + chunk.index(b"\n") + 1
+        cut = pos + end.end()
+        if cut - pos == len(chunk) and chunk.endswith(b"\r") and fh.read(1) == b"\n":
+            cut += 1  # a CR LF across the chunk's edge
         if cuts[-1] < cut < size:
             cuts.append(cut)
     return cuts + [size]

@@ -28,6 +28,7 @@ instrumented value type. ``search.select_best`` runs
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -184,7 +185,8 @@ def coefficients_from_correlations(rx_rows, rho, sigma_y, sigmas, mu_y, mus) -> 
     """
     k = len(rho)
     a = [list(row) for row in rx_rows]
-    w = solve_symmetric(a, list(rho))
+    # the solve overwrites its right hand side, and a block's rows are arrays
+    w = solve_symmetric(a, [copy.copy(r) for r in rho])
     betas = tuple(sigma_y * w[i] / sigmas[i] for i in range(k))
     beta0 = mu_y - sum(betas[i] * mus[i] for i in range(k))
     return RegressionCoefficients(beta0=beta0, betas=betas)

@@ -14,8 +14,9 @@ Algorithm 2 scalar kernels, ``kernels.triangulate`` and
 ``conditional_uuc``, which ``cond-uncorrelation``'s tree walk does not
 run. The "hat-*" rows run the ``hat-*`` scan's block kernel,
 ``hat._residual_block``, then sum each responder's squared residuals
-from 0. The scan's ``np.add.accumulate`` is not counted: it skips only
-the first addition, 0.0 + x, which is exact. Nor is ``hat._lsq_block``'s
+from 0. The scan's ``np.add.reduce`` over d is not counted: it adds
+the same squares in the same order, and may skip only the first
+addition, 0.0 + x, which is exact. Nor is ``hat._lsq_block``'s
 division by d and the responder's variance: it scales the scores for
 the tie window and is no part of the fit.
 
@@ -227,9 +228,9 @@ def _run_counted(method, data, model, k, m, tally):
         tables = hat.gram_products(data, range(k), range(k, k + m))
         # a collinear draw raises here, not as a counting scalar's zero division
         factor_symmetric(hat.assemble_xtx(tables, subset), k + 1)
-        residuals, _ = hat._residual_block(
-            tables._replace(g=wrap(tables.g), rows=wrap(tables.rows)),
-            np.array([subset]), method)
+        tables = tables._replace(g=wrap(tables.g), rows=wrap(tables.rows))
+        residuals, _ = hat._residual_block(tables, np.array([subset]), method,
+                                           hat._scratch(tables, 1, k))
         for e in residuals[0]:
             sum(e * e)  # each responder's squared residuals, summed from 0
 

@@ -270,9 +270,10 @@ def _tree_blocks(rx, ry, k):
 
 # Floats per temporary of the block scans: a block holds about
 # LSQ_FLOATS / ((k + 1) * m) subsets for algorithm1 and
-# LSQ_FLOATS / (max(m, k + 1) * d) for hat-*. Blocks four times larger
-# raised the peak RSS of `verify` at d=1000, m=5 from 31.2 to 34.8 MB,
-# with no gain in speed.
+# LSQ_FLOATS / (max(m, k + 1) * d) for hat-*, whose scan allocates its
+# scratch once, for its largest block. Blocks four times larger raised
+# the peak RSS of `verify` at d=1000, m=5 from 30.9 to 33.2 MB, with no
+# gain in speed.
 LSQ_FLOATS = 2**15
 
 
@@ -421,9 +422,12 @@ def select_best(
     else:
         from . import hat  # the baselines' module, loaded only for hat-*
         tables = hat.gram_products(data, pred, resp)
+        # one scratch for the whole scan, sized for its largest block
+        block = max(1, min(total, LSQ_FLOATS // (max(m, k + 1) * data.d)))
         score = partial(hat._lsq_block, tables, method=method,
-                        sigma_sq=np.square(model.resp_sigma))
-        blocks = _lex_blocks(score, n, k, LSQ_FLOATS // (max(m, k + 1) * data.d))
+                        sigma_sq=np.square(model.resp_sigma),
+                        scratch=hat._scratch(tables, block, k))
+        blocks = _lex_blocks(score, n, k, block)
     windows, scored = _argmin(blocks, m)
     skipped = total - scored
     if not scored:

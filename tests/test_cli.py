@@ -366,17 +366,32 @@ def test_a_parser_that_ended_early_hands_over(stream):
         ingest._append(np.zeros((1, 2)), 2, io.BytesIO(stream))
 
 
-# a quoted header is cut after as a plain one is
-@pytest.mark.parametrize("quote, parts", [("", 1), ('"', 1), ("", 2), ('"', 2)],
-                         ids=["plain", "quoted", "plain-split", "quoted-split"])
-def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, monkeypatch, quote, parts):
+def test_a_cut_never_parts_a_cr_lf(tmp_path):
+    """Where the 64 KiB chunk that ``_cuts`` scans for a line end ends in
+    the CR of a CR LF, the line ends after the LF, and the cut lies there."""
+    cr = 140_007  # the half-way cut is sought from byte cr - 65535
+    text = b"a,b\r\n1," + b"0" * (cr - 7) + b"\r\n1," + b"0" * (cr - 131_074) + b"\r\n"
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text)
+    assert text[cr:cr + 2] == b"\r\n" and len(text) // 2 - 1 + 65_535 == cr
+    with _ranges(2, part_bytes=1), open(path, "rb") as fh:
+        assert ingest._cuts(fh, 5, len(text)) == [5, cr + 2, len(text)]
+
+
+# a quoted header is cut after as a plain one is, and CR-only line ends
+# as line feeds are
+@pytest.mark.parametrize("quote, parts, eol",
+                         [("", 1, "\n"), ('"', 1, "\n"), ("", 2, "\n"), ('"', 2, "\n"),
+                          ("", 2, "\r")],
+                         ids=["plain", "quoted", "plain-split", "quoted-split", "cr-split"])
+def test_ingest_wide_table_is_bit_identical_and_lean(tmp_path, monkeypatch, quote, parts, eol):
     rng = np.random.default_rng(7)
     table = (rng.standard_normal((2000, 302)) * 10.0 ** rng.uniform(-1, 2, 302)
              + rng.uniform(-1e3, 1e3, 302))
     lines = [",".join(quote + name + quote
                       for name in [f"x{j}" for j in range(300)] + ["y0", "y1"])]
     lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    path = write_csv(tmp_path, eol.join(lines) + eol)
     del lines
     forks = []
     fork_parser = ingest._fork_parser

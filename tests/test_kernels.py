@@ -165,6 +165,24 @@ def test_block_solve_raises_its_first_collinear_entry():
     assert (block.value.pivot_index, block.value.pivot) == (2, scalar.value.pivot)
 
 
+def test_coefficient_recovery_leaves_its_inputs_alone():
+    """The solve runs in place, on copies: a block of winners' correlations
+    (entry i of ``rho`` a row of m values) is read, never written, and the
+    coefficients are those of one winner at a time."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 5))
+    r = np.corrcoef(x, rowvar=False)
+    rx, rho = np.stack([r[:3, :3]] * 2, axis=-1), r[:3, 3:5].copy()
+    before = (rx.tobytes(), rho.tobytes())
+    block = coefficients_from_correlations(rx, rho, np.ones(2), np.ones((3, 2)),
+                                           np.zeros(2), np.zeros((3, 2)))
+    assert (rx.tobytes(), rho.tobytes()) == before
+    for t in range(2):
+        one = coefficients_from_correlations(r[:3, :3].tolist(), rho[:, t].tolist(),
+                                             1.0, [1.0] * 3, 0.0, [0.0] * 3)
+        assert [b[t] for b in block.betas] == list(one.betas)
+
+
 def test_inconsistent_input_caught():
     """Correlations that cannot coexist drive omega^2 far below 0."""
     cache = triangulate([[1.0, 0.0], [0.0, 1.0]])

@@ -781,33 +781,54 @@ def _overflowing_gram_instance(col=2, k=2):
     return ObservationMatrix(x), [0, 1, 2, 3], [4], k
 
 
+def _fit_of_first_admissible(data, pred, resp, ref_scores, ordering):
+    """``fit_multi`` of every responder on the first subset the scalar
+    scan scored, or None where none was scored or the design overflows."""
+    if not ref_scores:
+        return None
+    design = DesignMatrix([data.column(pred[j]) for j in min(ref_scores)])
+    try:
+        return fit_multi(design, [data.column(c) for c in resp], ordering=ordering)
+    except InternalNumericError:
+        return None
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(_scan_instances(), st.sampled_from((1, search.LSQ_FLOATS)))
+@given(_scan_instances(), st.sampled_from((1, None, search.LSQ_FLOATS)))
 @example(_collinear_shifted_instance(0), 1)
 @example(_collinear_shifted_instance(8), 1)
 @example(_collinear_shifted_instance(12), search.LSQ_FLOATS)
 @example(_overflowing_gram_instance(), search.LSQ_FLOATS)
+@example((*make_instance(23, d=15, n=5, m=3)[:3], 2), None)
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_batched_least_squares_matches_scalar_fit(instance, floats):
     """Every batched hat-a/hat-b score is bit-identical to the scalar fit,
     and so are the skips and the winners (ranked by MSE over the
     responder's variance); each reports its window's score, sigma_y^2
     times it as its mse, and the coefficients of the scanned tables,
-    whether a block holds one subset or the default number, and when some
-    scores are NaN (tables built past the overflow check, which
-    ``select_best`` applies)."""
+    whether a block holds one subset, three (``floats`` None) with a
+    shorter last block where 3 does not divide C(n, k), or the default
+    number, and when some scores are NaN (tables built past the overflow
+    check, which ``select_best`` applies). The scan reuses one scratch
+    for all its blocks, and a ``fit_multi`` made before it keeps its
+    residuals."""
     data, pred, resp, k = instance
+    if floats is None:
+        floats = 3 * max(len(resp), k + 1) * data.d
     tables = _unchecked_tables(data, pred, resp)
     sigma = build_correlation_model(data, pred, resp).resp_sigma
     total = math.comb(len(pred), k)
     subsets = np.array(list(enumerate_subsets(len(pred), k)), dtype=np.intp)
     for method in ("hat-a", "hat-b"):
         ref_scores, windows, skipped = _lsq_reference(data, pred, resp, k, method)
-        scores, singular = hat._lsq_block(tables, subsets, method, 1.0)
+        scores, singular = hat._lsq_block(tables, subsets, method, 1.0,
+                                          hat._scratch(tables, total, k))
         for subset, row, skip in zip(map(tuple, subsets.tolist()), scores, singular):
             assert skip == (subset not in ref_scores)
             if not skip:
                 assert row.tobytes() == np.array(ref_scores[subset]).tobytes()
+        fit = _fit_of_first_admissible(data, pred, resp, ref_scores, method[-1])
+        kept = fit and np.array([f.residual for f in fit]).tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "LSQ_FLOATS", floats)
             if not np.isfinite([r @ r for r in tables.rows]).all():
@@ -819,6 +840,8 @@ def test_batched_least_squares_matches_scalar_fit(instance, floats):
                     select_best(data, pred, resp, k, method=method)
                 continue
             res = select_best(data, pred, resp, k, method=method)
+        if fit:
+            assert np.array([f.residual for f in fit]).tobytes() == kept
         for t, (window, r) in enumerate(zip(windows, res)):
             score, subset = window.winner()
             beta = solve_symmetric(assemble_xtx(tables, subset),
@@ -915,8 +938,9 @@ def test_every_winner_is_solved_in_one_block(instance, sizes):
 
 def test_least_squares_scan_memory_is_bounded():
     """The hat-* scan holds one block of subsets at a time. At d=1000 and
-    m=5 its tracemalloc peak reads 1.2 MB; blocks sized at 2**17 floats
-    read 4.6 MB, and all 120 subsets at once 20 MB."""
+    m=5 its tracemalloc peak reads 0.94 MB; blocks sized at 2**17 floats
+    read 3.3 MB, and all 120 subsets at once 15 MB (1.3, 4.6 and 20 MB
+    with a fresh set of temporaries per block)."""
     data = synthetic_observations(1000, 15, seed=3)
     tracemalloc.start()
     try:
@@ -925,6 +949,38 @@ def test_least_squares_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("method", ["hat-a", "hat-b"])
+def test_least_squares_scan_holds_one_scratch(method):
+    """A hat-* scan allocates its working arrays once, sized for its
+    largest block, and frees them with it. At (d, n, m, k) =
+    (1000, 12, 5, 3) the 220 subsets run in 37 blocks of up to b = 6, and
+    one block's b*m*d floats (240 kB) set the scale: the scratch holds
+    (k + 1) / m + 2 = 2.8 of them (the columns, the prediction and one
+    product), and hat-b's in-place solves add b x d temporaries (0.2).
+    Above the Gram tables the peak reads 2.86 (hat-a) and 3.06 (hat-b)
+    of them; with a fresh set of temporaries per block, and numpy's
+    default ufunc buffers, it read 3.20 and 4.59. A second scan peaks no
+    higher, and neither keeps anything of its scratch once it returns."""
+    d, n, m, k = 1000, 12, 5, 3
+    data = synthetic_observations(d, n + m, seed=7)
+    tables = gram_products(data, range(n), range(n, n + m))
+    block = 6 * m * d * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            select_best(data, range(n), range(n, n + m), k, method=method)
+            after, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - before)
+            assert after - before < block / 10
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < tables.rows.nbytes + tables.g.nbytes + 3.5 * block
+    assert peaks[1] <= peaks[0]
 
 
 def _walk_peak(n, m, k):
