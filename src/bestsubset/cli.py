@@ -21,10 +21,11 @@ command has ended, so the process exits without tearing down its heap.
 :func:`main` is the in-process entry, for tests and library callers, and
 leaves the collector as it was.
 
-Each subcommand builds its report once, as a dict plus its CSV and text
-renderings, and hands all three to :func:`_emit`, the one writer, which
-puts the JSON (versioned schema), the CSV or the aligned text table on
-stdout. Given the same inputs and seed the emitted report is
+Each subcommand builds its report once, as a dict, and hands it to
+:func:`_emit`, the one writer, with a renderer of its CSV and text that
+reads the report alone. ``_emit`` builds only the format asked for, the
+JSON (versioned schema), the CSV or the aligned text table, and puts it
+on stdout. Given the same inputs and seed the emitted report is
 byte-identical across runs, except for wall-time fields. A failed run
 exits with the ``exit_code`` class attribute of its error (see
 :func:`exit_code_for`), so shell pipelines can tell failure modes apart.
@@ -36,11 +37,11 @@ import argparse
 import collections
 import csv
 import gc
-import io
 import json
 import math
 import sys
 import time
+import types
 
 from .errors import BestSubsetError, VerificationFailure
 from .ingest import ingest_csv
@@ -123,29 +124,22 @@ def _csv_text(rows) -> str:
     The writer quotes a cell only for the characters of its own line
     terminator, so rows are written with CRLF (a cell holding a bare CR
     is quoted too) and each row's terminator is then cut to LF.
+    ``writerow`` returns what its file's ``write`` returns: here the line.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    lines = []
-    for row in rows:
-        writer.writerow(row)
-        lines.append(buf.getvalue()[:-2] + "\n")
-        buf.seek(0)
-        buf.truncate()
-    return "".join(lines)
+    writer = csv.writer(types.SimpleNamespace(write=str), lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in rows)
 
 
-def _emit(fmt, report, csv_text, text) -> None:
-    """Write one report to stdout in ``fmt``: the ``report`` dict as JSON,
-    or its ``csv_text`` or ``text`` rendering. Every subcommand's report
-    reaches stdout here and nowhere else. A closed stdout (``None``, as
-    ``>&-`` leaves it) is an OS error, reported like any other."""
+def _emit(fmt, report, render) -> None:
+    """Write one report to stdout in ``fmt``, building that rendering
+    alone: the ``report`` dict as JSON, or ``render(report, fmt)``, its
+    CSV or text built from the report and nothing else. Every
+    subcommand's report reaches stdout here and nowhere else. A closed
+    stdout (``None``, as ``>&-`` leaves it) is an OS error, reported like
+    any other."""
     if sys.stdout is None:
         raise OSError("stdout is closed")
-    if fmt == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(csv_text if fmt == "csv" else text)
+    sys.stdout.write(render_json(report) if fmt == "json" else render(report, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +205,30 @@ def cmd_select(args) -> int:
         for r in results]
     wall = time.perf_counter() - t0
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "select",
-        "method": args.method,
-        "k": args.k,
-        "sweep": bool(args.sweep),
-        "d": data.d,
-        "n": len(pred),
-        "m": len(resp),
-        "seed": args.seed,
-        "input": args.input,
-        "records": records,
-        "wall_time_s": wall,
+        "schema_version": SCHEMA_VERSION, "command": "select", "method": args.method,
+        "k": args.k, "sweep": bool(args.sweep), "d": data.d, "n": len(pred), "m": len(resp),
+        "seed": args.seed, "input": args.input, "records": records, "wall_time_s": wall,
     }
-    # select_best returns one record per responder, so records[0] exists
-    rows = [list(records[0])] + [
-        [";".join(map(str, v)) if isinstance(v, list) else str(v) for v in rec.values()]
-        for rec in records]
-    text = [f"method={args.method} k={args.k} d={data.d} n={len(pred)} m={len(resp)}"]
-    text += [f"  responder {rec['responder']}: subset [{', '.join(map(str, rec['subset']))}]"
-             f"  mse={rec['mse']:.6g}  r2={rec['r_squared']:.6g}"
-             f"  omega2={rec['omega_sq_cond']:.6g}"
-             f"  (skipped {rec['skipped_singular']} singular)" for rec in records]
-    text.append(f"wall_time_s={wall:.3f}")
-    _emit(args.format, report, _csv_text(rows), "\n".join(text) + "\n")
+    _emit(args.format, report, _select_rendering)
     return 0
+
+
+def _select_rendering(report, fmt) -> str:
+    """The CSV, one row per record under a header of its keys with lists
+    joined by ';', or the text."""
+    records = report["records"]
+    if fmt == "csv":
+        # select_best returns one record per responder, so records[0] exists
+        return _csv_text([list(records[0])] + [
+            [";".join(map(str, v)) if isinstance(v, list) else str(v) for v in rec.values()]
+            for rec in records])
+    return "".join([
+        "method={method} k={k} d={d} n={n} m={m}\n".format_map(report),
+        *(f"  responder {rec['responder']}: subset [{', '.join(map(str, rec['subset']))}]"
+          f"  mse={rec['mse']:.6g}  r2={rec['r_squared']:.6g}"
+          f"  omega2={rec['omega_sq_cond']:.6g}"
+          f"  (skipped {rec['skipped_singular']} singular)\n" for rec in records),
+        f"wall_time_s={report['wall_time_s']:.3f}\n"])
 
 
 def run_verify(data, names, pred, resp, k, limit):
@@ -268,15 +261,8 @@ def run_verify(data, names, pred, resp, k, limit):
             "mse_agree": mse_ok,
         })
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "k": k,
-        "d": data.d,
-        "n": len(pred),
-        "m": len(resp),
-        "methods": list(METHODS),
-        "checks": checks,
-        "pass": ok,
+        "schema_version": SCHEMA_VERSION, "command": "verify", "k": k, "d": data.d,
+        "n": len(pred), "m": len(resp), "methods": list(METHODS), "checks": checks, "pass": ok,
     }
     return report, ok
 
@@ -284,18 +270,23 @@ def run_verify(data, names, pred, resp, k, limit):
 def cmd_verify(args) -> int:
     data, pred, resp, names = _load_instance(args)
     report, ok = run_verify(data, names, pred, resp, args.k, args.limit)
+    _emit(args.format, report, _verify_rendering)
+    return 0 if ok else VerificationFailure.exit_code
+
+
+def _verify_rendering(report, fmt) -> str:
     checks = report["checks"]
-    rows = [["responder", "subsets_agree", "mse_agree", "mse_spread"]]
-    rows += [[c["responder"], c["subsets_agree"], c["mse_agree"], c["mse_spread"]]
-             for c in checks]
-    rows.append(["pass", ok, "", ""])
-    text = "".join(
+    if fmt == "csv":
+        return _csv_text([
+            ["responder", "subsets_agree", "mse_agree", "mse_spread"],
+            *([c["responder"], c["subsets_agree"], c["mse_agree"], c["mse_spread"]]
+              for c in checks),
+            ["pass", report["pass"], "", ""]])
+    return "".join(
         f"responder {c['responder']}: "
         f"{'ok' if c['subsets_agree'] and c['mse_agree'] else 'MISMATCH'} "
-        f"(mse spread {c['mse_spread']:.3e})\n" for c in checks)
-    text += f"verify: {'pass' if ok else 'FAIL'}\n"
-    _emit(args.format, report, _csv_text(rows), text)
-    return 0 if ok else VerificationFailure.exit_code
+        f"(mse spread {c['mse_spread']:.3e})\n" for c in checks
+    ) + f"verify: {'pass' if report['pass'] else 'FAIL'}\n"
 
 
 # the count_table row that counts each method's operations per subset
@@ -340,31 +331,37 @@ def run_bench(d, n, k, m, seed, limit):
 
 
 def cmd_bench(args) -> int:
-    from .opcount import format_count_table
     report = run_bench(args.d, args.n, args.k, args.m, args.seed, args.limit)
-    timings, ratios = report["timings"], report["op_ratio_vs_hat_b"]
-    rows = [["method", "wall_s", "per_subset_s", "op_ratio_vs_hat_b"]]
-    rows += [[t["method"], t["wall_s"], t["per_subset_s"], ratios[t["method"]]]
-             for t in timings]
-    rows.append([])  # the blank line before the count table
-    text = [f"bench d={args.d} n={args.n} k={args.k} m={args.m} ({report['subsets']} subsets)"]
-    text += [f"  {t['method']:>18}: {t['wall_s']:9.3f} s total, "
-             f"{t['per_subset_s'] * 1e6:10.1f} us/subset" for t in timings]
-    text += [f"  speedup vs hat-b: {meth:>18} {ratio:8.1f}x"
-             for meth, ratio in report["speedup_vs_hat_b"].items()]
-    text += [f"  op ratio vs hat-b: {meth:>17} {ratio:8.1f}x" for meth, ratio in ratios.items()]
-    text += ["", format_count_table(report["counts"], "text")]
-    _emit(args.format, report,
-          _csv_text(rows) + format_count_table(report["counts"], "csv"), "\n".join(text))
+    _emit(args.format, report, _bench_rendering)
     return 0
+
+
+def _bench_rendering(report, fmt) -> str:
+    """The timings (CSV) or the timings and both ratios (text), a blank
+    line, then the count table."""
+    from .opcount import format_count_table
+    timings, ratios = report["timings"], report["op_ratio_vs_hat_b"]
+    if fmt == "csv":
+        head = _csv_text([["method", "wall_s", "per_subset_s", "op_ratio_vs_hat_b"],
+                          *([t["method"], t["wall_s"], t["per_subset_s"], ratios[t["method"]]]
+                            for t in timings), []])
+    else:
+        head = "".join([
+            "bench d={d} n={n} k={k} m={m} ({subsets} subsets)\n".format_map(report),
+            *(f"  {t['method']:>18}: {t['wall_s']:9.3f} s total, "
+              f"{t['per_subset_s'] * 1e6:10.1f} us/subset\n" for t in timings),
+            *(f"  speedup vs hat-b: {meth:>18} {ratio:8.1f}x\n"
+              for meth, ratio in report["speedup_vs_hat_b"].items()),
+            *(f"  op ratio vs hat-b: {meth:>17} {ratio:8.1f}x\n" for meth, ratio in ratios.items()),
+            "\n"])
+    return head + format_count_table(report["counts"], fmt)
 
 
 def cmd_count_ops(args) -> int:
     from .opcount import count_table, format_count_table
     rows = count_table(ks=range(1, args.k + 1), d=args.d, ms=range(1, args.m + 1))
     report = {"schema_version": SCHEMA_VERSION, "command": "count-ops", "rows": rows}
-    _emit(args.format, report, format_count_table(rows, "csv"),
-          format_count_table(rows, "text"))
+    _emit(args.format, report, lambda report, fmt: format_count_table(report["rows"], fmt))
     return 0
 
 

@@ -156,10 +156,10 @@ class _Range(io.FileIO):
         return super().readinto(memoryview(buf)[:max(self._end - self.tell(), 0)])
 
 
-def _open_range(path, start, end, encoding):
-    """Bytes ``[start, end)`` of ``path`` as text, read as ``open`` reads."""
+def _open_range(path, start, end):
+    """Bytes ``[start, end)`` of ``path`` as UTF-8 text, as ``open`` reads it."""
     return io.TextIOWrapper(io.BufferedReader(_Range(path, start, end)),
-                            encoding=encoding, newline="")
+                            encoding="utf-8", newline="")
 
 
 def _loadtxt(fh):
@@ -191,7 +191,7 @@ def _fork_parser(path, start, end):
         code = 1
         try:
             os.close(r)
-            with _open_range(path, start, end, "utf-8") as fh:
+            with _open_range(path, start, end) as fh:
                 values = _loadtxt(fh)
             with open(w, "wb") as out:
                 out.write(np.array(values.shape, dtype=np.int64).tobytes())
@@ -234,7 +234,7 @@ def _ingest_fast(path: str):
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             start = 3 if fh.read(3) == b"\xef\xbb\xbf" else 0  # after a BOM
-            with _open_range(path, start, size, "utf-8") as text:
+            with _open_range(path, start, size) as text:
                 first, end = _first_record(text, start)
             if first is None:
                 return None
@@ -250,7 +250,7 @@ def _ingest_fast(path: str):
                 return None
             children[pid] = pipe
         # numpy reads the first record too when it is data
-        with _open_range(path, start if names is None else end, cuts[1], "utf-8") as fh:
+        with _open_range(path, start if names is None else end, cuts[1]) as fh:
             values = _loadtxt(fh)
         if values.shape[0] and values.shape[1] != len(first):
             return None

@@ -770,6 +770,99 @@ def test_count_ops_matches_the_golden_table(capsys):
                    "count_ops_k8_m5_d30.csv").read_text()
 
 
+def _cell(value):
+    """A report value as its CSV cell holds it: lists joined by ';'."""
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def test_every_format_renders_the_one_report(tmp_path, monkeypatch):
+    """select --sweep and verify, in all three formats, on names holding a
+    comma, a double quote and a ';': every CSV cell and every text value
+    is the JSON report's, and each command's renderer, given the report
+    parsed back from its JSON, writes the same CSV and text."""
+    x = np.random.default_rng(8).normal(size=(40, 6))
+    x[:, 5] = 2.0 * x[:, 0] - 1.5 * x[:, 2] + 0.05 * x[:, 5]
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(
+        ["a,1", 'b"2', "c;3", "d", 'e;f,"g', 'y,"z;'])
+    path = write_csv(tmp_path, header.getvalue() + "".join(
+        ",".join(map(repr, row)) + "\n" for row in x.tolist()))
+    renders = []
+    emit = cli._emit
+
+    def keep_render(fmt, report, render):
+        renders.append(render)
+        emit(fmt, report, render)
+
+    monkeypatch.setattr(cli, "_emit", keep_render)
+    for argv in (["select", "--k", "3", "--sweep"], ["verify", "--k", "3"]):
+        outs = {}
+        for fmt in ("json", "csv", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([*argv, "--input", path, "--predictors", "0-4",
+                                 "--responders", "5", "--format", fmt]) == 0
+            outs[fmt] = out.getvalue()
+        report = json.loads(outs["json"])
+        table = list(csv.reader(io.StringIO(outs["csv"], newline="")))
+        lines = outs["text"].splitlines()
+        if argv[0] == "select":
+            records = report["records"]
+            assert [r["k"] for r in records] == [1, 2, 3]
+            assert table == [list(records[0])] + [[_cell(v) for v in r.values()]
+                                                  for r in records]
+            assert lines[0] == "method={method} k={k} d={d} n={n} m={m}".format_map(report)
+            assert lines[1:-1] == [
+                f"  responder {r['responder']}: subset [{', '.join(r['subset'])}]"
+                f"  mse={r['mse']:.6g}  r2={r['r_squared']:.6g}  omega2={r['omega_sq_cond']:.6g}"
+                f"  (skipped {r['skipped_singular']} singular)" for r in records]
+            assert re.fullmatch(r"wall_time_s=\d+\.\d{3}", lines[-1])
+        else:
+            checks = report["checks"]
+            assert table == [["responder", "subsets_agree", "mse_agree", "mse_spread"]] + [
+                [_cell(c[key]) for key in ("responder", "subsets_agree", "mse_agree",
+                                           "mse_spread")] for c in checks
+            ] + [["pass", str(report["pass"]), "", ""]]
+            assert lines == [
+                f"responder {c['responder']}: "
+                f"{'ok' if c['subsets_agree'] and c['mse_agree'] else 'MISMATCH'}"
+                f" (mse spread {c['mse_spread']:.3e})" for c in checks
+            ] + [f"verify: {'pass' if report['pass'] else 'FAIL'}"]
+        assert {r["responder"] for r in report.get("records", report.get("checks"))} == {'y,"z;'}
+        assert renders[-1](report, "csv") == outs["csv"]
+        assert (re.sub(r"wall_time_s=\S+", "", renders[-1](report, "text"))
+                == re.sub(r"wall_time_s=\S+", "", outs["text"]))
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("select --d 40 --n 5 --m 2 --k 2 --format json", ["json"]),
+    ("select --d 40 --n 5 --m 2 --k 2 --format csv", ["_csv_text"]),
+    ("select --d 40 --n 5 --m 2 --k 2 --format text", []),
+    ("verify --d 40 --n 5 --m 2 --k 2 --format json", ["json"]),
+    ("verify --d 40 --n 5 --m 2 --k 2 --format csv", ["_csv_text"]),
+    ("verify --d 40 --n 5 --m 2 --k 2 --format text", []),
+    ("bench --d 30 --n 4 --k 2 --m 1 --format json", ["json"]),
+    ("bench --d 30 --n 4 --k 2 --m 1 --format csv", ["_csv_text", "csv"]),
+    ("bench --d 30 --n 4 --k 2 --m 1 --format text", ["text"]),
+    ("count-ops --k 2 --format json", ["json"]),
+    ("count-ops --k 2 --format csv", ["csv"]),
+    ("count-ops --k 2 --format text", ["text"]),
+])
+def test_a_command_builds_only_the_rendering_it_writes(monkeypatch, capsys, argv, built):
+    """The JSON, CSV and count-table builders each command calls: only
+    those of the format it writes, each once."""
+    calls = []
+    render_json, csv_text, table = cli.render_json, cli._csv_text, opcount.format_count_table
+    monkeypatch.setattr(cli, "render_json",
+                        lambda report: calls.append("json") or render_json(report))
+    monkeypatch.setattr(cli, "_csv_text", lambda rows: calls.append("_csv_text") or csv_text(rows))
+    monkeypatch.setattr(opcount, "format_count_table",
+                        lambda rows, fmt="text": calls.append(fmt) or table(rows, fmt))
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out
+    assert calls == built
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ def test_a_split_csv_reports_as_one_parse(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    "select --d 60 --n 6 --m 2 --k 2 --format text",
+    "count-ops --k 4 --m 2",
+    # tree-walk levels of several blocks, with many responders
+    "select --d 200 --n 20 --m 300 --k 4 --format csv",
+    # the model builds no predictor block at k = 1, and no responder
+    # pairs: 3000 predictors at k = 1, and 4000 responders at k = 2
+    "select --d 100 --n 3000 --m 2 --k 1 --format csv",
+    "select --d 1000 --n 20 --m 4000 --k 2 --format csv",
+    # 122 columns of 4000 rows: the correlation model takes 8 tiles of 16
+    "select --d 4000 --n 120 --m 2 --k 1 --format text",
     # verify at the paper's desk scale, and on a deeper subset tree
     "verify --d 1000 --n 10 --m 5 --k 3 --format text",
     "verify --d 200 --n 24 --m 10 --k 4 --format text",
@@ -135,3 +145,72 @@ def test_an_overflowing_responder_is_exit_11(tmp_path):
                 "--responders", "4", "--k", "1", "--method", "hat-a")
     assert done.returncode == 11
     assert b"Warning" not in done.stderr
+
+
+def test_a_header_may_name_a_column_nan(tmp_path):
+    """A header may name a column NaN: it is still a header, and the
+    column it names can win."""
+    path = tmp_path / "nanhead.csv"
+    path.write_text("NaN,b,y\n1,5,3.1\n4,2,9\n2,1,4.9\n3,3,7\n")
+    out = _bestsubset("select", "--input", str(path), "--predictors", "NaN,b",
+                      "--responders", "y", "--k", "1", "--format", "csv")
+    assert out.splitlines()[-1].split(",")[2] == "NaN"
+
+
+def test_an_affine_copy_wins_with_omega_sq_zero(tmp_path):
+    """A responder that is an exact affine copy of x0 correlates with it at
+    1.0000000000000002: the range rule lands that on 1.0, and the copy
+    wins with omega^2 = 0."""
+    x = np.random.default_rng(3).standard_normal((30, 3))
+    path = _csv(tmp_path / "affine.csv", np.column_stack((x, 3 * x[:, 0] - 2)))
+    out = _bestsubset("select", "--input", path, "--predictors", "0-2", "--responders", "3",
+                      "--k", "1", "--format", "csv")
+    assert out.splitlines()[-1].split(",")[2:4] == ["0", "0.0"]
+
+
+@pytest.fixture(scope="module")
+def refused_csvs(tmp_path_factory):
+    """The tables the refused commands read, by name."""
+    folder = tmp_path_factory.mktemp("refused")
+    paths = {name: folder / f"{name}.csv" for name in ("small", "unparsable", "latin1")}
+    paths["small"].write_text("a,b,y\n1,2,3\n4,5,7\n2,1,0\n")
+    paths["unparsable"].write_text("a,b\n1,2\nx,4\n")
+    paths["latin1"].write_bytes(b"Gr\xf6\xdfe,y\n1,2\n3,5\n4,4\n")
+    x = np.random.default_rng(0).standard_normal((20, 4))
+    x[:, 2] *= 1e200
+    paths["variance"] = _csv(folder / "variance.csv", x)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("args, status, error", [
+    ("select --d 60 --n 6 --m 2 --k 2 --limit -1", 2, "--limit must be at least 0, got -1"),
+    ("select --input {unparsable} --predictors 0 --responders 1 --k 1", 3,
+     "cannot parse 'x' as a number (row 3, column 1)"),
+    # a file that is not UTF-8 is a parse error too
+    ("select --input {latin1} --predictors 0 --responders 1 --k 1", 3,
+     "{latin1}: byte 0xf6 at offset 2 is not UTF-8 (row 1)"),
+    # a column range is checked against the table before it is expanded
+    ("select --input {small} --predictors 0-999999999999 --responders 2 --k 1", 2,
+     "--predictors: column index 3 out of range 0..2"),
+    # a name no header holds is one exact line, with no trailing blank
+    ("select --input {small} --predictors zz --responders 2 --k 1", 2,
+     "--predictors: cannot resolve 'zz'"),
+    # a predictor whose variance overflows is exit 11 in the correlation
+    # model, with no numpy warning before the error
+    ("select --input {variance} --predictors 0-2 --responders 3 --k 1", 11,
+     "column 2 has a variance that overflows float64"),
+    # count-ops refuses --d below --k + 2 before it counts anything, and
+    # bench before any scan
+    ("count-ops --k 40 --d 40", 2, "--d must be at least 42, got 40"),
+    ("bench --d 3 --n 2 --k 2 --m 1", 2, "--d must be at least 4, got 3"),
+    # select and verify refuse a size past n before drawing their table
+    ("select --d 1000000000000 --n 4 --m 1 --k 5", 7, "subset size k=5 not in 1..4"),
+    ("verify --d 1000000000000 --n 4 --m 1 --k 5", 7, "subset size k=5 not in 1..4"),
+])
+def test_a_refused_command_exits_with_its_status(refused_csvs, args, status, error):
+    """The error's exit status, nothing on stdout, and its one line on
+    stderr, with no numpy warning before it."""
+    done = _run(*(arg.format(**refused_csvs) for arg in args.split()))
+    assert done.returncode == status
+    assert done.stdout == b""
+    assert done.stderr.decode() == f"error: {error.format(**refused_csvs)}\n"
